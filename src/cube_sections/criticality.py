@@ -22,6 +22,28 @@ instead of residuals.
 
 Geometrically the same balance says the cones over the facet slices have
 volume proportional to ``1 - a_k^2``; ``cone_balance`` tests that directly.
+
+The value, the reduced-density terms, the gradient and the Hessian are all
+read off one table of corner sums.  For the ``m`` nonzero magnitudes
+``w = |a|``, the sign patterns ``delta in {-1, +1}^m``, the corner sums
+``s = delta . w`` and the parities ``P = (-1)^(#negative delta)``,
+
+    I = c Phi / prod w,   Phi = sum P s_+^(m-1),   c = 2 pi / (2^m (m-1)!),
+
+    2 pi f_reduced_k(a_k) = (c / prod w) w_k Phi_k,
+    Phi_k = 2 (m-1) sum_{delta_k = +1} P s_+^(m-2),
+
+    dI/dw_k = c Phi_k / prod w - I / w_k = (2 pi f_reduced_k(a_k) - I) / w_k,
+
+    d2I/dw_j dw_k = (c / prod w) (Phi_jk - Phi_j / w_k - Phi_k / w_j)
+                    + I (1 / (w_j w_k) + [j = k] / w_j^2),
+    Phi_jk = (m-1)(m-2) sum P delta_j delta_k s_+^(m-3).
+
+Off the kinks ``Phi_k`` equals the full-table derivative
+``(m-1) sum P delta_k s_+^(m-2)`` of ``Phi``; the half-table form keeps the
+right-continuous box density at ``m = 2``.  A zeroth truncated power is the
+step ``[s >= 0]`` and a negative one vanishes, which is the derivative of
+a step away from its jump.  Signs return through ``sgn(a_k)``.
 """
 
 from __future__ import annotations
@@ -32,13 +54,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import density_at
+from .density import MAX_CLOSED_FORM_WEIGHTS, _sign_patterns, density_at
 from .sections import cone_volume
 from .weights import (
+    RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
     as_unit_vector,
     as_weight_vector,
-    reduce_weights,
 )
 
 __all__ = [
@@ -66,13 +88,72 @@ def sinc_product_integral(a) -> float:
     return 2.0 * math.pi * density_at(as_weight_vector(a), 0.0)
 
 
-def _reduced_density_term(arr: np.ndarray, k: int) -> float:
-    """``2 pi f_{a without k}(a_k)``, with the point-mass convention 0."""
-    red = reduce_weights(arr, k)
-    if red.degenerate:
-        # remaining sum is the constant 0; its "density" off the atom is 0
-        return 0.0
-    return 2.0 * math.pi * density_at(red.coords, float(arr[k]))
+def _truncated_power(s: np.ndarray, p: int) -> np.ndarray:
+    """``s_+^p``, with ``s_+^0 = [s >= 0]`` and ``s_+^p = 0`` for ``p < 0``."""
+    if p < 0:
+        return np.zeros_like(s)
+    if p == 0:
+        return (s >= 0.0).astype(float)
+    return np.maximum(s, 0.0) ** p
+
+
+class _SincTable(NamedTuple):
+    """``I`` and its derivatives at one weight vector, from one corner table.
+
+    Arrays are indexed like the input; coordinates off ``live`` (zero, or
+    below the relative weight floor) carry a zero reduced term, gradient
+    entry and Hessian row and column.
+    """
+
+    value: float
+    live: np.ndarray
+    reduced: np.ndarray
+    grad: np.ndarray
+    hessian: np.ndarray | None
+
+
+def _sinc_table(arr: np.ndarray, *, hessian: bool = False) -> _SincTable:
+    """Evaluate the corner-table identities of the module docstring.
+
+    ``arr`` is a validated weight vector; the Hessian is built only on
+    request, and is the true one only where every coordinate is live.
+    """
+    mag = np.abs(arr)
+    live = mag > RELATIVE_WEIGHT_FLOOR * float(np.max(mag))
+    w = mag[live]
+    m = w.size
+    if m > MAX_CLOSED_FORM_WEIGHTS:
+        raise InvalidInputError(
+            f"more than {MAX_CLOSED_FORM_WEIGHTS} nonzero weights: the "
+            "truncated-power expansion would lose all precision"
+        )
+    signs, parity = _sign_patterns(m)
+    s = signs @ w
+    par = parity if m % 2 == 0 else -parity  # (-1)^(#negative signs)
+    scale = 2.0 * math.pi / (2.0**m * math.factorial(m - 1) * float(np.prod(w)))
+    value = scale * math.fsum(par * _truncated_power(s, m - 1))
+    # the delta_k = +1 half of the table; the full-table derivative would
+    # average the two one-sided limits of the m = 2 box density
+    phi = 2.0 * (m - 1) * ((signs > 0.0).T @ (par * _truncated_power(s, m - 2)))
+    sgn = np.sign(arr[live])
+
+    reduced = np.zeros_like(arr)
+    reduced[live] = scale * w * phi
+    grad = np.zeros_like(arr)
+    grad[live] = sgn * (scale * phi - value / w)
+    if not hessian:
+        return _SincTable(value, live, reduced, grad, None)
+
+    inv = 1.0 / w
+    hw = value * (np.outer(inv, inv) + np.diag(inv**2)) - scale * (
+        np.outer(phi, inv) + np.outer(inv, phi)
+    )
+    if m >= 3:
+        t = par * _truncated_power(s, m - 3)
+        hw += scale * (m - 1) * (m - 2) * (signs.T @ (t[:, None] * signs))
+    full = np.zeros((arr.size, arr.size))
+    full[np.ix_(live, live)] = np.outer(sgn, sgn) * hw
+    return _SincTable(value, live, reduced, grad, full)
 
 
 def grad_sinc_product_integral(a) -> np.ndarray:
@@ -82,13 +163,7 @@ def grad_sinc_product_integral(a) -> np.ndarray:
     rather than differentiating under the oscillatory integral; the
     coordinate partial vanishes by symmetry where ``a_k = 0``.
     """
-    arr = as_weight_vector(a)
-    total = sinc_product_integral(arr)
-    grad = np.zeros_like(arr)
-    for k in range(arr.size):
-        if arr[k] != 0.0:
-            grad[k] = (_reduced_density_term(arr, k) - total) / arr[k]
-    return grad
+    return _sinc_table(as_weight_vector(a)).grad
 
 
 def interior_condition(a) -> bool:
@@ -154,7 +229,8 @@ def criticality_residuals(a, tol: float = DEFAULT_CRITICALITY_TOL) -> Criticalit
     """
     u = as_unit_vector(a)
     n = u.size
-    sigma = sinc_product_integral(u)
+    table = _sinc_table(u)
+    sigma = table.value
     mu = None if n < 2 else 2.0 ** (n - 2) * sigma / ((n - 1) * math.pi)
     note = None
     if np.any(u == 0.0):
@@ -175,13 +251,9 @@ def criticality_residuals(a, tol: float = DEFAULT_CRITICALITY_TOL) -> Criticalit
             residuals=None, max_residual=None, verdict=degenerate, **common
         )
 
-    residuals = np.zeros(n)
-    for k in range(n):
-        if u[k] == 0.0:
-            continue
-        residuals[k] = (
-            _reduced_density_term(u, k) - sigma * (1.0 - u[k] ** 2)
-        ) / sigma
+    residuals = np.where(
+        table.live, (table.reduced - sigma * (1.0 - u**2)) / sigma, 0.0
+    )
     max_residual = float(np.max(np.abs(residuals)))
     verdict = "critical" if max_residual <= tol else "not-critical"
     return CriticalityReport(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .criticality import criticality_residuals, grad_sinc_product_integral
+from .criticality import _sinc_table, criticality_residuals, grad_sinc_product_integral
 from .sections import central_volume, diagonal_direction, normalized_section
 from .weights import InvalidInputError, as_weight_vector
 
@@ -39,10 +39,11 @@ _CERTIFY_TOL = 1e-8
 _SNAP_TOL = 1e-7
 _CLASSIFY_EIG_TOL = 1e-6
 _GLOBAL_VALUE_TOL = 1e-9
-# each coordinate below ~1e-3 costs the closed-form gradient roughly three
-# digits (the corner sums divide by the weight product), so once Newton
-# stalls with coordinates this small their Jacobian rows are cancellation
-# noise and the only sound move is to commit them to zero
+# each coordinate below ~1e-3 costs the corner-table gradient and Hessian
+# roughly three digits (the alternating corner sums are divided by the
+# weight product), so once Newton stalls with coordinates this small its
+# residual has sunk into cancellation noise and the only sound move is to
+# commit them to zero
 _STALL_COLLAPSE_TOL = 1e-3
 # at diagonals with a degenerate sphere Hessian the gradient is quadratic
 # in the offset, so Newton residual-converges while still ~1e-6 away; a
@@ -141,10 +142,12 @@ def refine_critical(
     """Polish one seed to a certified critical direction, or ``None``.
 
     Newton iteration on the stationarity system in the direction and its
-    multiplier, with step halving; coordinates collapsing below 1e-7 are
-    dropped and the reduced problem is solved recursively, and a stalled
-    iterate with coordinates small enough to drown the Jacobian in
-    cancellation noise is retried with those coordinates zeroed.  The
+    multiplier, with the exact Jacobian ``[[H - lambda, -a], [a^T, 0]]``
+    from the corner-table Hessian ``H`` of ``I`` and step halving;
+    coordinates collapsing below 1e-7 are dropped and the reduced problem
+    is solved recursively, and a stalled iterate with coordinates small
+    enough to drown the residual in cancellation noise is retried with
+    those coordinates zeroed.  The
     returned vector is unit, nonnegative, and snapped exactly onto a
     diagonal when doing so does not worsen the stationarity gap.
     """
@@ -170,11 +173,10 @@ def refine_critical(
         return _gap_gated_snap(a, tol)
 
     n = a.size
-    h = 1e-6
     lam = float(a @ grad_sinc_product_integral(a))
 
     def residual(vec: np.ndarray, mul: float) -> np.ndarray:
-        g = grad_sinc_product_integral(vec) - mul * vec
+        g = _sinc_table(vec).grad - mul * vec
         return np.append(g, 0.5 * (float(vec @ vec) - 1.0))
 
     G = residual(a, lam)
@@ -182,14 +184,7 @@ def refine_critical(
         if float(np.max(np.abs(G))) <= tol:
             break
         J = np.zeros((n + 1, n + 1))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            J[:n, j] = (
-                grad_sinc_product_integral(a + e)
-                - grad_sinc_product_integral(a - e)
-            ) / (2.0 * h)
-            J[j, j] -= lam
+        J[:n, :n] = _sinc_table(a, hessian=True).hessian - lam * np.eye(n)
         J[:n, n] = -a
         J[n, :n] = a
         try:

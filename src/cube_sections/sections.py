@@ -114,7 +114,10 @@ def facet_section_volume(a, k: int) -> float:
     the slice volume equals ``s_reduced(a_k)`` over the (n-1)-cube.
     Degenerate case ``a = +-e_k`` returns 0.
     """
-    u = as_unit_vector(a)
+    return _facet_slice(as_unit_vector(a), k)
+
+
+def _facet_slice(u: np.ndarray, k: int) -> float:
     red = reduce_weights(u, k)
     if red.degenerate:
         return 0.0
@@ -134,10 +137,14 @@ def cone_volume(a, k: int) -> float:
     u = as_unit_vector(a)
     if u.size < 2:
         raise InvalidInputError("cone volumes need dimension at least 2")
+    return _cone_over(u, k, _facet_slice(u, k))
+
+
+def _cone_over(u: np.ndarray, k: int, base: float) -> float:
+    """Cone volume over the facet slice ``base`` of unit ``u``."""
     red = reduce_weights(u, k)
     if red.degenerate:
         return 0.0
-    base = facet_section_volume(u, k)
     return base / ((u.size - 1) * float(np.linalg.norm(red.coords)))
 
 
@@ -153,19 +160,20 @@ def slab_identity_check(a, k: int) -> tuple[float, float]:
     with ``F`` the CDF of the reduced weight sum.  Returns ``(lhs, rhs)``.
     """
     u = as_unit_vector(a)
-    ak = float(u[k % u.size])
-    if ak == 0.0:
+    if u[k % u.size] == 0.0:
         raise InvalidInputError("slab identity needs a_k != 0")
-    ak = abs(ak)
+    return parallel_section(u, 0.0), _slab_rhs(u, k)
+
+
+def _slab_rhs(u: np.ndarray, k: int) -> float:
+    """Right-hand side of the slab identity at unit ``u`` with ``u_k != 0``."""
+    ak = abs(float(u[k % u.size]))
     red = reduce_weights(u, k)
-    lhs = central_volume(u)
-    n = u.size
     if red.degenerate:
         spread = 1.0  # empty sum is the point mass at 0
     else:
         spread = cdf_at(red.coords, ak) - cdf_at(red.coords, -ak)
-    rhs = 2.0 ** (n - 1) * spread / ak
-    return lhs, rhs
+    return 2.0 ** (u.size - 1) * spread / ak
 
 
 @dataclass(frozen=True)
@@ -220,18 +228,13 @@ def section_report(a) -> SectionReport:
     """Compute the central volume and all per-facet cross-checks."""
     u = as_unit_vector(a)
     n = u.size
-    vol = central_volume(u)
-    facets = np.array([facet_section_volume(u, k) for k in range(n)])
+    vol = parallel_section(u, 0.0)
+    facets = np.array([_facet_slice(u, k) for k in range(n)])
     if n >= 2:
-        cones = np.array([cone_volume(u, k) for k in range(n)])
+        cones = np.array([_cone_over(u, k, facets[k]) for k in range(n)])
     else:
         cones = np.zeros(n)
-    slab_errors = [
-        abs(lhs - rhs)
-        for k in range(n)
-        if u[k] != 0.0
-        for lhs, rhs in [slab_identity_check(u, k)]
-    ]
+    slab_errors = [abs(vol - _slab_rhs(u, k)) for k in range(n) if u[k] != 0.0]
     return SectionReport(
         direction=u,
         volume=vol,

@@ -9,12 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 from cube_sections.criticality import (
     DEFAULT_CRITICALITY_TOL,
     ConeBalance,
+    _sinc_table,
     cone_balance,
     criticality_residuals,
     grad_sinc_product_integral,
     interior_condition,
     sinc_product_integral,
 )
+from cube_sections.density import density_at
 from cube_sections.sections import normalized_section
 from cube_sections.weights import InvalidInputError
 
@@ -85,6 +87,96 @@ def test_gradient_matches_finite_differences(a):
 def test_gradient_zero_coordinate():
     g = grad_sinc_product_integral((1.0, 0.0, 1.0, 1.0))
     assert g[1] == 0.0
+
+
+# -- the corner-table kernel ---------------------------------------------
+
+signed_st = st.integers(3, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(0.3, 1.0, allow_nan=False), min_size=n, max_size=n),
+        st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n),
+    )
+).map(lambda pair: np.asarray(pair[0]) * np.asarray(pair[1]))
+
+
+@pytest.mark.parametrize(
+    "a,expected",
+    [
+        # one live weight: the reduced sum is the point mass at 0
+        ((1.0, 0.0, 0.0), (-math.pi, 0.0, 0.0)),
+        # two live weights: the reduced density is a box, read
+        # right-continuously at its edge
+        ((1.0, 1.0), (-2.0 * math.pi, -2.0 * math.pi)),
+        ((0.0, 1.0, 1.0), (0.0, -2.0 * math.pi, -2.0 * math.pi)),
+        ((1.0, 1.0, 2.0), (0.0, 0.0, -1.5 * math.pi)),
+    ],
+)
+def test_gradient_at_kinks(a, expected):
+    u = np.asarray(a) / np.linalg.norm(a)
+    np.testing.assert_allclose(
+        grad_sinc_product_integral(u), expected, rtol=1e-13, atol=1e-13
+    )
+
+
+def test_single_weight_value():
+    assert _sinc_table(np.array([0.0, 2.0, 0.0])).value == pytest.approx(
+        math.pi / 2.0, rel=1e-15
+    )
+
+
+@pytest.mark.parametrize(
+    "a", [(0.3, 1.0), (-0.8, 0.5), (0.2, 0.5, 0.6), (1.0, -1.0, 1.5)]
+)
+def test_low_dimension_hessian_finite(a):
+    hess = _sinc_table(np.asarray(a), hessian=True).hessian
+    assert hess.shape == (len(a), len(a))
+    assert np.all(np.isfinite(hess))
+
+
+@given(signed_st)
+@settings(deadline=None, max_examples=40)
+def test_hessian_matches_finite_differences(a):
+    assume(clears_kinks(a))
+    h = 1e-6
+    fd = np.array(
+        [
+            (_sinc_table(a + h * e).grad - _sinc_table(a - h * e).grad) / (2.0 * h)
+            for e in np.eye(a.size)
+        ]
+    )
+    hess = _sinc_table(a, hessian=True).hessian
+    np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(hess)))
+
+
+@given(signed_st)
+@settings(deadline=None)
+def test_gradient_matches_reduced_densities(a):
+    # an independent path: one density evaluation per deleted coordinate
+    total = 2.0 * math.pi * density_at(a, 0.0)
+    expected = np.array(
+        [
+            (2.0 * math.pi * density_at(np.delete(a, k), a[k]) - total) / a[k]
+            for k in range(a.size)
+        ]
+    )
+    np.testing.assert_allclose(
+        grad_sinc_product_integral(a),
+        expected,
+        rtol=0.0,
+        atol=1e-12 * np.max(np.abs(expected)),
+    )
+
+
+@given(signed_st)
+@settings(deadline=None)
+def test_hessian_euler_relation(a):
+    # the gradient is homogeneous of degree -2, so H a = -2 grad I
+    assume(clears_kinks(a))
+    table = _sinc_table(a, hessian=True)
+    scale = np.max(np.abs(table.hessian) @ np.abs(a))
+    np.testing.assert_allclose(
+        table.hessian @ a, -2.0 * table.grad, rtol=0.0, atol=1e-12 * scale
+    )
 
 
 # -- residual reports ----------------------------------------------------

@@ -137,6 +137,20 @@ def test_scan_three_dims():
     assert all(p.basin_count >= 1 for p in points)
 
 
+def test_scan_four_dims():
+    # Theorem 3 from 200 seeds: the four diagonals and (1, 1, 2, 2)
+    points = scan(ScanConfig(dimension=4, seed_count=200, rng_seed=1))
+    assert [p.diagonal_k for p in points] == [1, 2, 3, None, 4]
+    assert [p.classification for p in points] == [
+        "global-min",
+        "global-max",
+        "saddle",
+        "saddle",
+        "local-max",
+    ]
+    np.testing.assert_allclose(points[3].canonical, SPECIAL, rtol=0.0, atol=1e-9)
+
+
 def test_scan_deterministic():
     cfg = ScanConfig(dimension=3, seed_count=30, rng_seed=42)
     first = scan(cfg)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cube_sections import sections
 from cube_sections.sections import (
     central_volume,
     cone_volume,
@@ -177,6 +178,25 @@ def test_report_boundary_direction():
     assert report.volume == pytest.approx(4.0 * SQRT2, rel=1e-13)
     assert report.slab_max_error <= 1e-12
     assert report.cone_volumes[2] == pytest.approx(SQRT2, rel=1e-13)
+
+
+def test_report_kernel_calls(monkeypatch):
+    # one central volume, one density per facet slice, two CDFs per slab
+    calls = []
+
+    def counted(kernel):
+        def wrapper(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        return wrapper
+
+    for name in ("density_at", "cdf_at"):
+        monkeypatch.setattr(sections, name, counted(getattr(sections, name)))
+    n = 6
+    report = section_report(np.arange(1.0, n + 1.0))
+    assert len(calls) == 3 * n + 1
+    assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
 
 
 def test_report_serializes():
