@@ -20,7 +20,9 @@ constructions are provided:
 The two paths share no code and serve as oracles for each other.
 
 Fast point evaluators (``density_at``, ``cdf_at``) avoid constructing the
-full piecewise object; they power the criticality and search hot loops.
+full piecewise object.  Up to ``EXACT_CORNER_WEIGHTS`` nonzero weights they
+sum the corner terms exactly in integers and round once, so no cancellation
+is left; larger tables are summed in floating point.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ __all__ = [
 # the closed form to a few dozen weights; every supported computation stays
 # far below this.
 MAX_CLOSED_FORM_WEIGHTS = 20
+
+# point evaluations with at most this many nonzero weights sum the 2^m
+# corner terms in exact integer arithmetic; at 2^8 terms a call takes about
+# 0.16 ms against 0.05 ms for the float sum, and larger tables keep the latter
+EXACT_CORNER_WEIGHTS = 8
 
 _MERGE_REL_TOL = 1e-13
 
@@ -213,6 +220,47 @@ def density_by_convolution(a) -> PiecewisePolynomial:
     return f
 
 
+def _exact_truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
+    """:func:`_truncated_power_sum` in integer arithmetic, correctly rounded.
+
+    Floats are dyadic rationals: over their common denominator ``q`` every
+    corner shift, power and the weight product are exact integers.
+    """
+    ratios = [x.as_integer_ratio() for x in w.tolist() + [r]]
+    q = max(d for _, d in ratios)
+    *weights, rr = [n * (q // d) for n, d in ratios]
+    # corner sums s_eps split by the parity of #positive signs
+    even, odd = [-sum(weights)], []
+    for v in weights:
+        even, odd = even + [s + 2 * v for s in odd], odd + [s + 2 * v for s in even]
+    total = sum((rr - s) ** p for s in even if s < rr)
+    total -= sum((rr - s) ** p for s in odd if s < rr)
+    # the sum carries q^-p and the product q^-m, with p <= m
+    den = 2 ** len(weights) * math.prod(weights) * math.factorial(p)
+    return total * q ** (len(weights) - p) / den
+
+
+def _truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
+    """``sum_eps (-1)^{#pos} (r - s_eps)_+^p / (2^m p! prod w)`` for ``p >= 1``.
+
+    Up to ``EXACT_CORNER_WEIGHTS`` weights the alternating sum is exact,
+    out to the true end of the support; beyond that it is summed in floating
+    point and cancels when some weights are small against the others.
+    """
+    if w.size <= EXACT_CORNER_WEIGHTS and math.isfinite(r):
+        return _exact_truncated_power_sum(w, r, p)
+    total = float(np.sum(w))
+    if not -total < r < total:
+        # off the support: 0, or 1 right of it for the CDF (p = m)
+        return float(p == w.size and r > 0.0)
+    shifts, parity = _corner_shifts(w)
+    d = r - shifts
+    live = d > 0.0
+    terms = parity[live] * d[live] ** p
+    scale = 1.0 / (2.0**w.size * float(np.prod(w)) * math.factorial(p))
+    return scale * math.fsum(terms)
+
+
 def density_at(a, r: float) -> float:
     """Point evaluation of the density without building the pieces.
 
@@ -225,15 +273,7 @@ def density_at(a, r: float) -> float:
     if m == 1:
         h = float(w[0])
         return 0.5 / h if -h <= r < h else 0.0
-    total = float(np.sum(w))
-    if not -total < r < total:
-        return 0.0
-    shifts, parity = _corner_shifts(w)
-    d = r - shifts
-    live = d > 0.0
-    terms = parity[live] * d[live] ** (m - 1)
-    scale = 1.0 / (2.0**m * float(np.prod(w)) * math.factorial(m - 1))
-    return scale * math.fsum(terms)
+    return _truncated_power_sum(w, r, m - 1)
 
 
 def cdf_at(a, r: float) -> float:
@@ -241,19 +281,10 @@ def cdf_at(a, r: float) -> float:
     w = _prepared(a)
     m = w.size
     r = float(r)
-    total = float(np.sum(w))
-    if r <= -total:
-        return 0.0
-    if r >= total:
-        return 1.0
     if m == 1:
-        return (r + total) / (2.0 * total)
-    shifts, parity = _corner_shifts(w)
-    d = r - shifts
-    live = d > 0.0
-    terms = parity[live] * d[live] ** m
-    scale = 1.0 / (2.0**m * float(np.prod(w)) * math.factorial(m))
-    return scale * math.fsum(terms)
+        h = float(w[0])
+        return min(max((r + h) / (2.0 * h), 0.0), 1.0)
+    return _truncated_power_sum(w, r, m)
 
 
 def eval_density(f: PiecewisePolynomial, r) -> float | np.ndarray:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +175,43 @@ def test_point_evaluators_match_pieces(w, frac):
     x = frac * float(np.sum(np.abs(w)))
     assert density_at(w, x) == pytest.approx(float(f(x)), rel=1e-10, abs=1e-12)
     assert cdf_at(w, x) == pytest.approx(float(f.cumulative(x)), rel=1e-10, abs=1e-12)
+
+
+def _fraction_corner_sum(w, r, p) -> float:
+    """Exact ``sum (-1)^#pos (r - s)_+^p / (2^m p! prod w)``, rounded once."""
+    w = [Fraction(abs(x)) for x in w]
+    r = Fraction(r)
+    total = Fraction(0)
+    for signs in itertools.product((-1, 1), repeat=len(w)):
+        d = r - sum(s * x for s, x in zip(signs, w))
+        if d > 0:
+            total += (-1) ** signs.count(1) * d**p
+    return float(total / (2 ** len(w) * math.factorial(p) * math.prod(w)))
+
+
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6),
+    st.lists(st.floats(1e-9, 1e-3), min_size=1, max_size=2),
+    st.floats(-1.0, 1.0),
+)
+@settings(deadline=None, max_examples=60)
+def test_point_evaluators_exact_with_tiny_weights(big, tiny, frac):
+    # tiny weights beside ordinary ones make the alternating corner sum
+    # cancel; up to 8 weights the evaluators must still round the exact sum
+    w = big + tiny
+    x = frac * float(np.sum(w))
+    m = len(w)
+    assert density_at(w, x) == _fraction_corner_sum(w, x, m - 1)
+    assert cdf_at(w, x) == _fraction_corner_sum(w, x, m)
+
+
+def test_density_at_tiny_weight_direction():
+    # two weights of 1e-8 beside (0.6, 0.8): the density at 0 is the
+    # two-weight triangle's 0.625 up to O(1e-16)
+    assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == _fraction_corner_sum(
+        (1e-8, 1e-8, 0.6, 0.8), 0.0, 3
+    )
+    assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == pytest.approx(0.625, rel=1e-15)
 
 
 @given(weights_st)
