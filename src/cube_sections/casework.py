@@ -357,27 +357,34 @@ def _triple_j(x: np.ndarray) -> np.ndarray:
 
 
 def _newton_multistart(fun, jac, seeds, tol, max_iter=80):
-    """Undamped Newton from every seed at once; divergent seeds become NaN."""
+    """Undamped Newton from every seed at once; divergent seeds become NaN.
+
+    A seed stops as soon as ``max|f| <= tol``, the final filter's own test,
+    so stopping early changes no verdict.
+    """
     x = np.array(seeds, dtype=float)
+    active = np.ones(len(x), dtype=bool)
     for _ in range(max_iter):
         with np.errstate(all="ignore"):
             blown = ~np.all(np.isfinite(x), axis=1) | (
                 np.max(np.abs(x), axis=1) > 1e3
             )
             x[blown] = np.nan
-            active = np.all(np.isfinite(x), axis=1)
-            if not np.any(active):
+            active &= ~blown
+            idx = np.flatnonzero(active)
+            f = fun(x[idx])
+            settled = np.max(np.abs(f), axis=1) <= tol
+            active[idx[settled]] = False
+            idx, f = idx[~settled], f[~settled]
+            if not idx.size:
                 break
-            j = jac(x[active])
-            f = fun(x[active])
+            j = jac(x[idx])
             det = np.linalg.det(j)
             ok = np.abs(det) > 1e-30
-            step = np.full_like(x[active], np.nan)
+            step = np.full_like(x[idx], np.nan)
             if np.any(ok):
                 step[ok] = np.linalg.solve(j[ok], f[ok][..., None])[..., 0]
-            xa = x[active]
-            xa -= step
-            x[active] = xa
+            x[idx] -= step
     with np.errstate(all="ignore"):
         good = np.all(np.isfinite(x), axis=1)
         good[good] &= np.max(np.abs(fun(x[good])), axis=1) <= tol

@@ -44,6 +44,11 @@ Off the kinks ``Phi_k`` equals the full-table derivative
 right-continuous box density at ``m = 2``.  A zeroth truncated power is the
 step ``[s >= 0]`` and a negative one vanishes, which is the derivative of
 a step away from its jump.  Signs return through ``sgn(a_k)``.
+
+One kernel evaluates the table for a batch of weight vectors, one per
+row.  Powers are repeated products and every sum runs in an order fixed by
+``m`` alone, so a row's numbers are bitwise the same in any batch; a
+single vector is a batch of one.
 """
 
 from __future__ import annotations
@@ -88,13 +93,100 @@ def sinc_product_integral(a) -> float:
     return 2.0 * math.pi * density_at(as_weight_vector(a), 0.0)
 
 
-def _truncated_power(s: np.ndarray, p: int) -> np.ndarray:
-    """``s_+^p``, with ``s_+^0 = [s >= 0]`` and ``s_+^p = 0`` for ``p < 0``."""
-    if p < 0:
-        return np.zeros_like(s)
-    if p == 0:
-        return (s >= 0.0).astype(float)
-    return np.maximum(s, 0.0) ** p
+# corner-coordinate entries one pass of the kernel holds per temporary
+# array; larger batches are split into passes of whole rows, so memory stays
+# bounded without changing any row's arithmetic
+_CORNER_BUDGET = 2**20
+
+
+def _corner_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the ``2^m`` corners on axis 1 by pairwise halving.
+
+    The order of the additions depends only on ``m``, so a row's sum is
+    bitwise the same however many rows are stacked with it; a BLAS product
+    or ``np.sum`` may pick its order from the whole shape.
+    """
+    while x.shape[1] > 1:
+        h = x.shape[1] >> 1
+        x = x[:, :h] + x[:, h:]
+    return x[:, 0]
+
+
+class _CornerRows(NamedTuple):
+    """``I`` and its derivatives in the magnitudes, one entry per row.
+
+    ``reduced`` holds the terms ``2 pi f_reduced_k(w_k)``; ``grad`` and
+    ``hessian`` are derivatives in ``w``.
+    """
+
+    value: np.ndarray
+    reduced: np.ndarray
+    grad: np.ndarray
+    hessian: np.ndarray | None
+
+
+def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
+    """Evaluate the corner-table identities of the module docstring per row.
+
+    ``w`` is a ``(B, m)`` array of live (positive, above the relative
+    floor) magnitudes.  Every row is computed with elementwise arithmetic
+    and fixed-order sums, so its result does not depend on the other rows;
+    the Hessian is built only on request.
+    """
+    count, m = w.shape
+    if m > MAX_CLOSED_FORM_WEIGHTS:
+        raise InvalidInputError(
+            f"more than {MAX_CLOSED_FORM_WEIGHTS} nonzero weights: the "
+            "truncated-power expansion would lose all precision"
+        )
+    rows = max(1, _CORNER_BUDGET // (m << m))
+    if count > rows:
+        parts = [_corner_rows(w[i : i + rows], hessian=hessian) for i in range(0, count, rows)]
+        return _CornerRows(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+
+    signs, parity = _sign_patterns(m)
+    par = parity if m % 2 == 0 else -parity  # (-1)^(#negative signs)
+    # accumulate runs in index order by definition, so unlike reductions
+    # these sums cannot change order with the shape
+    s = np.cumsum(w[:, None, :] * signs, axis=2)[:, :, -1]
+    # P s_+^(m-3), P s_+^(m-2), P s_+^(m-1) by repeated products from the
+    # step s_+^0 = [s >= 0]; negative powers vanish
+    pos = np.maximum(s, 0.0)
+    low = mid = np.zeros_like(s)
+    top = (s >= 0.0) * par
+    for _ in range(m - 1):
+        low, mid, top = mid, top, top * pos
+    # one pass sums the delta_k = +1 halves of P s_+^(m-2) (the full-table
+    # derivative would average the two one-sided limits of the m = 2 box
+    # density) and, in the last column, the whole of P s_+^(m-1)
+    sums = _corner_sum(np.concatenate([mid[:, :, None] * (signs > 0.0), top[:, :, None]], axis=2))
+
+    prod = np.multiply.accumulate(w, axis=1)[:, -1]
+    scale = 2.0 * math.pi / (2.0**m * math.factorial(m - 1) * prod)
+    value = scale * sums[:, -1]
+    phi = 2.0 * (m - 1) * sums[:, :-1]
+    reduced = scale[:, None] * w * phi
+    grad = scale[:, None] * phi - value[:, None] / w
+    if not hessian:
+        return _CornerRows(value, reduced, grad, None)
+
+    inv = 1.0 / w
+    hw = value[:, None, None] * (
+        inv[:, :, None] * inv[:, None, :] + np.eye(m) * (inv**2)[:, None, :]
+    ) - scale[:, None, None] * (
+        phi[:, :, None] * inv[:, None, :] + inv[:, :, None] * phi[:, None, :]
+    )
+    if m >= 3:
+        # P s_+^(m-3) delta_j delta_k summed over the corners, in as few
+        # column blocks as the budget allows
+        signed = (low[:, :, None] * signs)[..., None]
+        width = max(1, _CORNER_BUDGET // signed.size)
+        cross = np.concatenate(
+            [_corner_sum(signed * signs[:, None, k : k + width]) for k in range(0, m, width)],
+            axis=2,
+        )
+        hw += (scale * (m - 1) * (m - 2))[:, None, None] * cross
+    return _CornerRows(value, reduced, grad, hw)
 
 
 class _SincTable(NamedTuple):
@@ -113,47 +205,25 @@ class _SincTable(NamedTuple):
 
 
 def _sinc_table(arr: np.ndarray, *, hessian: bool = False) -> _SincTable:
-    """Evaluate the corner-table identities of the module docstring.
+    """:func:`_corner_rows` on the live magnitudes of one weight vector.
 
-    ``arr`` is a validated weight vector; the Hessian is built only on
-    request, and is the true one only where every coordinate is live.
+    ``arr`` is a validated weight vector; signs return through
+    ``sgn(a_k)``, and the Hessian is the true one only where every
+    coordinate is live.
     """
     mag = np.abs(arr)
     live = mag > RELATIVE_WEIGHT_FLOOR * float(np.max(mag))
-    w = mag[live]
-    m = w.size
-    if m > MAX_CLOSED_FORM_WEIGHTS:
-        raise InvalidInputError(
-            f"more than {MAX_CLOSED_FORM_WEIGHTS} nonzero weights: the "
-            "truncated-power expansion would lose all precision"
-        )
-    signs, parity = _sign_patterns(m)
-    s = signs @ w
-    par = parity if m % 2 == 0 else -parity  # (-1)^(#negative signs)
-    scale = 2.0 * math.pi / (2.0**m * math.factorial(m - 1) * float(np.prod(w)))
-    value = scale * math.fsum(par * _truncated_power(s, m - 1))
-    # the delta_k = +1 half of the table; the full-table derivative would
-    # average the two one-sided limits of the m = 2 box density
-    phi = 2.0 * (m - 1) * ((signs > 0.0).T @ (par * _truncated_power(s, m - 2)))
     sgn = np.sign(arr[live])
-
+    rows = _corner_rows(mag[live][None, :], hessian=hessian)
     reduced = np.zeros_like(arr)
-    reduced[live] = scale * w * phi
+    reduced[live] = rows.reduced[0]
     grad = np.zeros_like(arr)
-    grad[live] = sgn * (scale * phi - value / w)
+    grad[live] = sgn * rows.grad[0]
     if not hessian:
-        return _SincTable(value, live, reduced, grad, None)
-
-    inv = 1.0 / w
-    hw = value * (np.outer(inv, inv) + np.diag(inv**2)) - scale * (
-        np.outer(phi, inv) + np.outer(inv, phi)
-    )
-    if m >= 3:
-        t = par * _truncated_power(s, m - 3)
-        hw += scale * (m - 1) * (m - 2) * (signs.T @ (t[:, None] * signs))
+        return _SincTable(float(rows.value[0]), live, reduced, grad, None)
     full = np.zeros((arr.size, arr.size))
-    full[np.ix_(live, live)] = np.outer(sgn, sgn) * hw
-    return _SincTable(value, live, reduced, grad, full)
+    full[np.ix_(live, live)] = np.outer(sgn, sgn) * rows.hessian[0]
+    return _SincTable(float(rows.value[0]), live, reduced, grad, full)
 
 
 def grad_sinc_product_integral(a) -> np.ndarray:

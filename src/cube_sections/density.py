@@ -10,9 +10,11 @@ constructions are provided:
       f(x) = (2^m m! prod w_i)^{-1} * sum_eps (-1)^{|eps|} (x - s_eps)_+^{m-1}
 
   over the ``2^m`` sign patterns ``s_eps = sum_i +-w_i`` of the ``m``
-  nonzero weights.  The alternating sum is evaluated with compensated
-  summation, and only the left half of the support is built directly; the
-  right half is mirrored, which makes the result exactly even.
+  nonzero weights.  Up to ``EXACT_CORNER_WEIGHTS`` weights each piece's
+  coefficients are exact rationals rounded once; beyond that the
+  alternating sum is evaluated with compensated summation.  Only the left
+  half of the support is built directly; the right half is mirrored, which
+  makes the result exactly even.
 
 * ``density_by_convolution`` folds in one uniform factor at a time using
   the antiderivative identity ``g(x) = (F(x+w) - F(x-w)) / (2w)``.
@@ -130,25 +132,25 @@ def density_closed_form(a) -> PiecewisePolynomial:
     span = 2.0 * float(np.sum(w))
     bp = _merged_breakpoints(shifts, span)
     tol = _MERGE_REL_TOL * span
-    scale = 1.0 / (2.0**m * float(np.prod(w)) * math.factorial(m - 1))
-    binoms = [math.comb(m - 1, i) for i in range(m)]
 
     mids = 0.5 * (bp[:-1] + bp[1:])
     npieces = mids.size
     coeffs = np.zeros((npieces, m))
-    for j in range(npieces):
-        mid = mids[j]
-        if mid > tol:
-            break  # right half is mirrored below
-        included = shifts <= bp[j] + tol
-        deltas = mid - shifts[included]
-        par = parity[included]
-        for i in range(m):
-            terms = par * deltas ** (m - 1 - i)
-            coeffs[j, i] = scale * binoms[i] * math.fsum(terms)
-        if abs(mid) <= tol:
-            # the straddling piece is an even polynomial; enforce it exactly
-            coeffs[j, 1::2] = 0.0
+    left = int(np.count_nonzero(mids <= tol))  # the right half is mirrored below
+    if m <= EXACT_CORNER_WEIGHTS:
+        coeffs[:left] = _exact_piece_coefficients(w, mids[:left], bp[:left] + tol)
+    else:
+        scale = 1.0 / (2.0**m * float(np.prod(w)) * math.factorial(m - 1))
+        binoms = [math.comb(m - 1, i) for i in range(m)]
+        for j in range(left):
+            included = shifts <= bp[j] + tol
+            deltas = mids[j] - shifts[included]
+            par = parity[included]
+            for i in range(m):
+                terms = par * deltas ** (m - 1 - i)
+                coeffs[j, i] = scale * binoms[i] * math.fsum(terms)
+    # the straddling piece is an even polynomial; enforce it exactly
+    coeffs[np.flatnonzero(np.abs(mids[:left]) <= tol), 1::2] = 0.0
     for j in range(npieces):
         mirror = npieces - 1 - j
         if mids[j] > tol and mirror != j:
@@ -220,24 +222,64 @@ def density_by_convolution(a) -> PiecewisePolynomial:
     return f
 
 
-def _exact_truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
-    """:func:`_truncated_power_sum` in integer arithmetic, correctly rounded.
+def _dyadic_corners(w: list[float], points: list[float]):
+    """Weights, corner sums and points as integers over one denominator ``q``.
 
-    Floats are dyadic rationals: over their common denominator ``q`` every
-    corner shift, power and the weight product are exact integers.
+    Floats are dyadic rationals, so the largest of their denominators is a
+    multiple of all the others.  The corner sums ``s_eps`` come split by the
+    parity of the number of positive signs.
     """
-    ratios = [x.as_integer_ratio() for x in w.tolist() + [r]]
+    ratios = [x.as_integer_ratio() for x in w + points]
     q = max(d for _, d in ratios)
-    *weights, rr = [n * (q // d) for n, d in ratios]
-    # corner sums s_eps split by the parity of #positive signs
+    ints = [n * (q // d) for n, d in ratios]
+    weights, pts = ints[: len(w)], ints[len(w) :]
     even, odd = [-sum(weights)], []
     for v in weights:
         even, odd = even + [s + 2 * v for s in odd], odd + [s + 2 * v for s in even]
+    return q, weights, even, odd, pts
+
+
+def _exact_truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
+    """:func:`_truncated_power_sum` in integer arithmetic, correctly rounded.
+
+    Over the common denominator ``q`` every corner shift, power and the
+    weight product are exact integers.
+    """
+    q, weights, even, odd, (rr,) = _dyadic_corners(w.tolist(), [r])
     total = sum((rr - s) ** p for s in even if s < rr)
     total -= sum((rr - s) ** p for s in odd if s < rr)
     # the sum carries q^-p and the product q^-m, with p <= m
     den = 2 ** len(weights) * math.prod(weights) * math.factorial(p)
     return total * q ** (len(weights) - p) / den
+
+
+def _exact_piece_coefficients(
+    w: np.ndarray, mids: np.ndarray, limits: np.ndarray
+) -> np.ndarray:
+    """Local coefficients of the closed form's pieces, each correctly rounded.
+
+    The piece centred on ``mid`` sums the corners ``s_eps <= limit``:
+    ``c_i = C(m-1, i) sum P (mid - s)^(m-1-i) / (2^m (m-1)! prod w)``,
+    an exact rational over the common denominator.
+    """
+    m = w.size
+    q, weights, even, odd, centres = _dyadic_corners(w.tolist(), mids.tolist())
+    corners = [(s, 1) for s in even] + [(s, -1) for s in odd]
+    den = 2**m * math.prod(weights) * math.factorial(m - 1)
+    out = np.zeros((len(centres), m))
+    for j, (mid, limit) in enumerate(zip(centres, limits.tolist())):
+        num, dl = limit.as_integer_ratio()
+        sums = [0] * m  # sum P (mid - s)^k, carrying q^-k
+        for s, par in corners:
+            if s * dl <= num * q:
+                d, term = mid - s, par
+                for k in range(m):
+                    sums[k] += term
+                    term *= d
+        out[j] = [
+            math.comb(m - 1, i) * sums[m - 1 - i] * q ** (i + 1) / den for i in range(m)
+        ]
+    return out
 
 
 def _truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:

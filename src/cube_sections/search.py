@@ -3,13 +3,19 @@
 Critical directions of the section-volume functional on the unit sphere
 are located by a damped Newton iteration on the stationarity system
 (gradient parallel to the direction, unit norm), started from every
-diagonal direction plus a batch of random seeds.  Converged points are
-folded into the closed positive orthant, deduplicated, and classified by
-the eigenvalues of a finite-difference tangent Hessian.
+diagonal direction plus a batch of random seeds.  All seeds of a scan run
+through one lock-step iteration: each sweep builds one batched corner
+table (:func:`cube_sections.criticality._corner_rows`) for the rows that
+need an exact Jacobian and one for the rows trying a step, and every row
+takes exactly the steps it would take alone, so a seed's result does not
+depend on the batch it runs in.  Converged points are folded into the
+closed positive orthant, deduplicated, and classified by the eigenvalues
+of a finite-difference tangent Hessian.
 
-Directions with zero coordinates are genuine non-smooth points; the
-iteration drops coordinates that collapse below a threshold and recurses
-on the reduced dimension, and such points are certified through the
+Directions with zero coordinates are genuine non-smooth points; a seed
+whose coordinates collapse below a threshold, or whose line search stalls
+on noise-sized coordinates, leaves the batch and recurses one seed at a
+time on the reduced dimension, and such points are certified through the
 degenerate verdicts of :func:`cube_sections.criticality.criticality_residuals`.
 """
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .criticality import _sinc_table, criticality_residuals, grad_sinc_product_integral
+from .criticality import _corner_rows, criticality_residuals, grad_sinc_product_integral
 from .sections import central_volume, diagonal_direction, normalized_section
 from .weights import InvalidInputError, as_weight_vector
 
@@ -50,6 +56,8 @@ _STALL_COLLAPSE_TOL = 1e-3
 # snap from that far is accepted only when certified not to worsen the
 # stationarity gap
 _WIDE_SNAP_TOL = 1e-4
+# step halvings a Newton line search tries before the iterate counts as stalled
+_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -150,71 +158,185 @@ def refine_critical(
     those coordinates zeroed.  The
     returned vector is unit, nonnegative, and snapped exactly onto a
     diagonal when doing so does not worsen the stationarity gap.
+
+    The seed runs as a batch of one through the same lock-step iteration
+    :func:`scan` runs all its seeds through, and its result is bitwise the
+    same either way.
     """
-    a = np.abs(as_weight_vector(seed, allow_zero=True))
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return None
-    a = a / norm
+    return _refine_seeds([seed], max_iters=max_iters, tol=tol)[0]
 
-    live = a > _ZERO_COORD_TOL
-    if not np.all(live):
-        if not np.any(live):
-            return None
-        inner = refine_critical(a[live], max_iters=max_iters, tol=tol)
-        if inner is None:
-            return None
-        out = np.zeros_like(a)
-        out[live] = inner
-        out = _gap_gated_snap(out, tol)
-        return out if _certified(out) else None
 
-    if _certified(a):
-        return _gap_gated_snap(a, tol)
+def _refine_seeds(seeds, *, max_iters: int, tol: float) -> list[np.ndarray | None]:
+    """:func:`refine_critical` of every seed, with one Newton batch for all.
 
-    n = a.size
-    lam = float(a @ grad_sinc_product_integral(a))
+    Seeds must share one dimension.  A seed leaves for per-seed code when
+    it is certified at the start, when it has a coordinate at or below
+    1e-7 (it recurses through the module-global :func:`refine_critical`),
+    when its line search stalls and when its Newton iteration converges.
+    """
+    results: list[np.ndarray | None] = [None] * len(seeds)
+    batch: list[tuple[int, np.ndarray]] = []
+    for i, seed in enumerate(seeds):
+        a = np.abs(as_weight_vector(seed, allow_zero=True))
+        norm = float(np.linalg.norm(a))
+        if norm == 0.0:
+            continue
+        a = a / norm
+        live = a > _ZERO_COORD_TOL
+        if not np.all(live):
+            if not np.any(live):
+                continue
+            inner = refine_critical(a[live], max_iters=max_iters, tol=tol)
+            if inner is None:
+                continue
+            out = np.zeros_like(a)
+            out[live] = inner
+            out = _gap_gated_snap(out, tol)
+            results[i] = out if _certified(out) else None
+        elif _certified(a):
+            results[i] = _gap_gated_snap(a, tol)
+        else:
+            batch.append((i, a))
+    if not batch:
+        return results
 
-    def residual(vec: np.ndarray, mul: float) -> np.ndarray:
-        g = _sinc_table(vec).grad - mul * vec
-        return np.append(g, 0.5 * (float(vec @ vec) - 1.0))
+    rows, starts = zip(*batch)
+    for i, (exit_, a) in zip(rows, _newton_rows(np.array(starts), max_iters=max_iters, tol=tol)):
+        if exit_ == "tiny":
+            results[i] = refine_critical(a, max_iters=max_iters, tol=tol)
+        elif exit_ == "stalled":
+            results[i] = _collapse_stalled(a, max_iters=max_iters, tol=tol)
+        elif exit_ == "converged":
+            a = np.abs(a) / float(np.linalg.norm(a))
+            a = _gap_gated_snap(a, tol)
+            results[i] = a if _certified(a) else None
+    return results
 
-    G = residual(a, lam)
-    for _ in range(max_iters):
-        if float(np.max(np.abs(G))) <= tol:
-            break
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = _sinc_table(a, hessian=True).hessian - lam * np.eye(n)
-        J[:n, n] = -a
-        J[n, :n] = a
-        try:
-            step = np.linalg.solve(J, -G)
-        except np.linalg.LinAlgError:
-            return None
-        base = float(np.max(np.abs(G)))
-        scale = 1.0
-        accepted = False
-        for _ in range(30):
-            a_new = a + scale * step[:n]
-            lam_new = lam + scale * step[n]
-            if np.all(np.isfinite(a_new)) and np.linalg.norm(a_new) > 0.25:
-                if np.any(np.abs(a_new) <= _ZERO_COORD_TOL):
-                    return refine_critical(a_new, max_iters=max_iters, tol=tol)
-                G_new = residual(a_new, lam_new)
-                if float(np.max(np.abs(G_new))) < base:
-                    a, lam, G = a_new, lam_new, G_new
-                    accepted = True
-                    break
-            scale *= 0.5
-        if not accepted:
-            return _collapse_stalled(a, max_iters=max_iters, tol=tol)
-    else:
-        if float(np.max(np.abs(G))) > tol:
-            return _collapse_stalled(a, max_iters=max_iters, tol=tol)
 
-    a = np.abs(a) / float(np.linalg.norm(a))
-    a = _gap_gated_snap(a, tol)
-    return a if _certified(a) else None
+def _residual_rows(x: np.ndarray) -> np.ndarray:
+    """Rows of ``[grad I - lambda a, (|a|^2 - 1) / 2]`` at rows ``x = [a, lambda]``.
+
+    ``a`` has no zero coordinate.  The coordinate sum runs in index order
+    (an accumulate), so each row is independent of the others.
+    """
+    a, lam = x[:, :-1], x[:, -1:]
+    grad = np.sign(a) * _corner_rows(np.abs(a)).grad
+    sphere = 0.5 * ((a * a).cumsum(axis=1)[:, -1:] - 1.0)
+    return np.concatenate([grad - lam * a, sphere], axis=1)
+
+
+def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every ``J[i] x = rhs[i]``; return the solutions and which exist.
+
+    LAPACK raises for a whole stack when one matrix in it is singular, so
+    the stack is then solved matrix by matrix, and only a singular
+    matrix's own row comes back NaN and flagged ``False``.
+    """
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        ok = np.zeros(len(J), dtype=bool)
+        for i in range(len(J)):
+            try:
+                out[i] = np.linalg.solve(J[i : i + 1], rhs[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                continue
+            ok[i] = True
+        return out, ok
+
+
+def _newton_rows(
+    a: np.ndarray, *, max_iters: int, tol: float
+) -> list[tuple[str, np.ndarray | None]]:
+    """Damped Newton on the stationarity system for rows of directions in lock step.
+
+    Each row takes exactly the steps it would take alone.  In every sweep
+    a row between iterations either leaves or builds its exact Jacobian
+    ``[[H - lambda, -a], [a^T, 0]]`` and solves for its step, and then
+    every row tries its current step scale: the trial is accepted when it
+    lowers the max-norm residual, and the scale halves otherwise.  Returns
+    how each row left, with its iterate: ``"converged"``, ``"stalled"``
+    (``max_iters`` steps, or 30 failed halvings), ``"tiny"`` (a trial with
+    a coordinate at or below 1e-7) or ``"singular"`` (no step; the iterate
+    is ``None``).
+    """
+    count, n = a.shape
+    exits: list[tuple[str, np.ndarray | None]] = [("singular", None)] * count
+    # x = [a, lambda]; the multiplier starts at a . grad I
+    x = np.concatenate([a, (a * _corner_rows(a).grad).cumsum(axis=1)[:, -1:]], axis=1)
+    G = _residual_rows(x)
+    state = (
+        np.arange(count),  # input row
+        x,
+        G,
+        np.abs(G).max(axis=1),  # residual of the accepted iterate
+        np.zeros(count, dtype=int),  # Newton steps taken
+        np.zeros((count, n + 1)),  # current step
+        np.ones(count),  # its scale
+        np.zeros(count, dtype=int),  # halvings of the scale
+        np.zeros(count, dtype=bool),  # whether the row is in a line search
+    )
+    eye = np.eye(n)
+
+    with np.errstate(all="ignore"):  # trials may overflow; they are then rejected
+        while state[0].size:
+            row, x, G, resid, iters, step, scale, halved, searching = state
+            idle = ~searching
+            if idle.any():
+                left = idle & ((resid <= tol) | (iters >= max_iters))
+                for i in np.flatnonzero(left):
+                    kind = "converged" if resid[i] <= tol else "stalled"
+                    exits[row[i]] = (kind, x[i, :n].copy())
+                new = np.flatnonzero(idle & ~left)
+                if new.size:
+                    sub = x[new, :n]
+                    sgn = np.sign(sub)
+                    J = np.zeros((new.size, n + 1, n + 1))
+                    J[:, :n, :n] = (
+                        sgn[:, :, None] * sgn[:, None, :]
+                        * _corner_rows(np.abs(sub), hessian=True).hessian
+                        - x[new, n, None, None] * eye
+                    )
+                    J[:, :n, n] = -sub
+                    J[:, n, :n] = sub
+                    steps, solved = _solve_rows(J, -G[new])
+                    left[new[~solved]] = True  # their exits already read "singular"
+                    new = new[solved]
+                    step[new] = steps[solved]
+                    scale[new] = 1.0
+                    halved[new] = 0
+                    iters[new] += 1
+                if left.any():
+                    state = tuple(v[~left] for v in state)
+                    row, x, G, resid, iters, step, scale, halved, searching = state
+
+            # every row is now in a line search and tries its current scale
+            x_new = x + scale[:, None] * step
+            a_new = x_new[:, :n]
+            sane = np.isfinite(a_new).all(axis=1) & (
+                np.sqrt((a_new * a_new).cumsum(axis=1)[:, -1]) > 0.25
+            )
+            tiny = sane & (np.abs(a_new) <= _ZERO_COORD_TOL).any(axis=1)
+            G_new = _residual_rows(x_new)
+            resid_new = np.abs(G_new).max(axis=1)
+            took = sane & ~tiny & (resid_new < resid)
+            x[took] = x_new[took]
+            G[took] = G_new[took]
+            resid[took] = resid_new[took]
+            failed = ~(took | tiny)
+            scale = np.where(failed, 0.5 * scale, scale)
+            halved = halved + failed
+            stalled = halved >= _HALVINGS
+            for i in np.flatnonzero(tiny):
+                exits[row[i]] = ("tiny", a_new[i].copy())
+            for i in np.flatnonzero(stalled):
+                exits[row[i]] = ("stalled", x[i, :n].copy())
+            state = (row, x, G, resid, iters, step, scale, halved, failed & ~stalled)
+            left = tiny | stalled
+            if left.any():
+                state = tuple(v[~left] for v in state)
+    return exits
 
 
 def _collapse_stalled(
@@ -323,15 +445,8 @@ def _diagonal_index(canonical: np.ndarray) -> int | None:
     return None
 
 
-def scan(config: ScanConfig) -> list[CriticalPoint]:
-    """Find and classify critical directions from a deterministic multistart.
-
-    Seeds are the ``n`` diagonal directions followed by ``seed_count``
-    folded standard-normal directions from a seeded generator.  Converged,
-    certified points are merged within ``dedup_tol`` in max norm on their
-    canonical representatives and reported sorted by coordinates, with the
-    number of seeds attracted to each point.
-    """
+def _scan_seeds(config: ScanConfig) -> list[np.ndarray]:
+    """The ``n`` diagonal directions, then ``seed_count`` folded normal ones."""
     n = config.dimension
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
     seeds = [diagonal_direction(k, n) for k in range(1, n + 1)]
@@ -340,13 +455,26 @@ def scan(config: ScanConfig) -> list[CriticalPoint]:
         while float(np.linalg.norm(vec)) < 1e-9:
             vec = np.abs(rng.standard_normal(n))
         seeds.append(vec / float(np.linalg.norm(vec)))
+    return seeds
 
+
+def scan(config: ScanConfig) -> list[CriticalPoint]:
+    """Find and classify critical directions from a deterministic multistart.
+
+    Seeds are the ``n`` diagonal directions followed by ``seed_count``
+    folded standard-normal directions from a seeded generator, refined
+    together in one batch; each gives the vector :func:`refine_critical`
+    gives it alone.  Converged, certified points are merged within
+    ``dedup_tol`` in max norm on their canonical representatives and
+    reported sorted by coordinates, with the number of seeds attracted to
+    each point.
+    """
     found: list[np.ndarray] = []
     counts: list[int] = []
-    for seed in seeds:
-        result = refine_critical(
-            seed, max_iters=config.newton_max_iters, tol=config.newton_tol
-        )
+    results = _refine_seeds(
+        _scan_seeds(config), max_iters=config.newton_max_iters, tol=config.newton_tol
+    )
+    for result in results:
         if result is None:
             continue
         rep = canonicalize(result)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cube_sections.criticality import (
     DEFAULT_CRITICALITY_TOL,
     ConeBalance,
+    _corner_rows,
     _sinc_table,
     cone_balance,
     criticality_residuals,
@@ -177,6 +178,17 @@ def test_hessian_euler_relation(a):
     np.testing.assert_allclose(
         table.hessian @ a, -2.0 * table.grad, rtol=0.0, atol=1e-12 * scale
     )
+
+
+def test_corner_rows_do_not_depend_on_the_batch():
+    # at m = 10 the corner budget holds 102 rows, so 120 rows take two
+    # passes; every row must come out bitwise as it does alone
+    w = np.random.default_rng(0).uniform(0.2, 1.0, size=(120, 10))
+    together = _corner_rows(w, hessian=True)
+    for i in (0, 50, 101, 102, 119):
+        alone = _corner_rows(w[i : i + 1], hessian=True)
+        for got, want in zip(together, alone):
+            np.testing.assert_array_equal(got[i], want[0])
 
 
 # -- residual reports ----------------------------------------------------

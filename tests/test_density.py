@@ -214,6 +214,16 @@ def test_density_at_tiny_weight_direction():
     assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == pytest.approx(0.625, rel=1e-15)
 
 
+def test_closed_form_exact_with_small_weights():
+    # three weights near 0.05 beside (3, 2.75, 2.47): summing the piece
+    # coefficients in floating point put the density at 0 off by 1.1e-10
+    # relative; up to 8 weights every piece is exact at its centre
+    w = [3.0, 2.75, 2.46875, 0.0625, 0.05078125, 0.05078125, 0.05078125]
+    f = density_closed_form(w)
+    for mid in f.midpoints:
+        assert f(mid) == _fraction_corner_sum(w, mid, len(w) - 1)
+
+
 @given(weights_st)
 @settings(deadline=None)
 def test_cdf_limits_and_center(w):

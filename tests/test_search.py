@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cube_sections.search import (
     CriticalPoint,
     ScanConfig,
+    _refine_seeds,
+    _scan_seeds,
+    _solve_rows,
     canonicalize,
     classify_critical_point,
     refine_critical,
@@ -76,6 +79,40 @@ def test_refine_accepts_exact_critical_point():
     refined = refine_critical(SPECIAL)
     assert refined is not None
     np.testing.assert_allclose(refined, SPECIAL, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        _scan_seeds(ScanConfig(dimension=4, seed_count=60, rng_seed=3)),
+        # the middle seed stalls and collapses to the coordinate direction
+        _scan_seeds(ScanConfig(dimension=3, seed_count=10, rng_seed=3))
+        + [np.array([1.0, 1e-3, 1e-3])]
+        + _scan_seeds(ScanConfig(dimension=3, seed_count=10, rng_seed=4)),
+    ],
+    ids=["n4", "n3-collapse"],
+)
+def test_refine_does_not_depend_on_the_batch(seeds):
+    # scan refines all its seeds in one lock-step batch; every seed must
+    # come out bitwise as it does alone
+    together = _refine_seeds(seeds, max_iters=60, tol=1e-11)
+    for seed, got in zip(seeds, together):
+        alone = refine_critical(seed)
+        assert (got is None) == (alone is None)
+        if got is not None:
+            np.testing.assert_array_equal(got, alone)
+
+
+def test_solve_rows_loses_only_the_singular_row():
+    J = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
+    rhs = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, rhs[..., None])
+    x, ok = _solve_rows(J, rhs)
+    assert ok.tolist() == [True, False, True]
+    np.testing.assert_array_equal(x[0], rhs[0])
+    assert np.all(np.isnan(x[1]))
+    np.testing.assert_array_equal(x[2], rhs[2] / 2.0)
 
 
 # -- classification ------------------------------------------------------------
