@@ -398,7 +398,7 @@ def _verify_thm3() -> int:
         )
     )
     if len(extra) == 1:
-        close = float(np.max(np.abs(extra[0].canonical - canonical_special())))
+        close = float(np.max(np.abs(extra[0].canonical - special)))
         checks.append(("extra class is (1,1,2,2)/sqrt(10)", close <= 1e-7))
         checks.append(("extra class is a saddle", extra[0].classification == "saddle"))
     labels = {p.diagonal_k: p.classification for p in points}
@@ -411,11 +411,6 @@ def _verify_thm3() -> int:
         )
     )
     return _verify_lines(checks)
-
-
-def canonical_special() -> np.ndarray:
-    """The non-diagonal critical direction (1,1,2,2)/sqrt(10), ascending."""
-    return np.array([1.0, 1.0, 2.0, 2.0]) / math.sqrt(10.0)
 
 
 def cmd_verify(args) -> int:

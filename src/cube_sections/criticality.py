@@ -189,13 +189,56 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
     return _CornerRows(value, reduced, grad, hw)
 
 
-class _SincTable(NamedTuple):
-    """``I`` and its derivatives at one weight vector, from one corner table.
+class _SincRows(NamedTuple):
+    """``I`` and its derivatives at a batch of weight vectors, one row each.
 
     Arrays are indexed like the input; coordinates off ``live`` (zero, or
-    below the relative weight floor) carry a zero reduced term, gradient
-    entry and Hessian row and column.
+    below the relative weight floor of their row) carry a zero reduced
+    term, gradient entry and Hessian row and column.
     """
+
+    value: np.ndarray
+    live: np.ndarray
+    reduced: np.ndarray
+    grad: np.ndarray
+    hessian: np.ndarray | None
+
+
+def _sinc_rows(arr: np.ndarray, *, hessian: bool = False) -> _SincRows:
+    """:func:`_corner_rows` on the live magnitudes of each row of ``arr``.
+
+    ``arr`` is a ``(B, n)`` array of nonzero weight vectors.  Rows are
+    grouped by their number of live coordinates, with one kernel call per
+    group, so each row's numbers are the ones it gets alone.  Signs return
+    through ``sgn(a_k)``, and the Hessian is the true one only where every
+    coordinate is live.
+    """
+    count, n = arr.shape
+    mag = np.abs(arr)
+    live = mag > RELATIVE_WEIGHT_FLOOR * mag.max(axis=1, keepdims=True)
+    value = np.empty(count)
+    reduced = np.zeros_like(mag)
+    grad = np.zeros_like(mag)
+    full = np.zeros((count, n, n)) if hessian else None
+    width = live.sum(axis=1)
+    for m in np.unique(width):
+        sel = np.flatnonzero(width == m)
+        cols = np.nonzero(live[sel])[1].reshape(-1, m)
+        at = (sel[:, None], cols)
+        sgn = np.sign(arr[at])
+        rows = _corner_rows(mag[at], hessian=hessian)
+        value[sel] = rows.value
+        reduced[at] = rows.reduced
+        grad[at] = sgn * rows.grad
+        if hessian:
+            full[sel[:, None, None], cols[:, :, None], cols[:, None, :]] = (
+                sgn[:, :, None] * sgn[:, None, :] * rows.hessian
+            )
+    return _SincRows(value, live, reduced, grad, full)
+
+
+class _SincTable(NamedTuple):
+    """One row of :class:`_SincRows`, with ``value`` a float."""
 
     value: float
     live: np.ndarray
@@ -205,25 +248,9 @@ class _SincTable(NamedTuple):
 
 
 def _sinc_table(arr: np.ndarray, *, hessian: bool = False) -> _SincTable:
-    """:func:`_corner_rows` on the live magnitudes of one weight vector.
-
-    ``arr`` is a validated weight vector; signs return through
-    ``sgn(a_k)``, and the Hessian is the true one only where every
-    coordinate is live.
-    """
-    mag = np.abs(arr)
-    live = mag > RELATIVE_WEIGHT_FLOOR * float(np.max(mag))
-    sgn = np.sign(arr[live])
-    rows = _corner_rows(mag[live][None, :], hessian=hessian)
-    reduced = np.zeros_like(arr)
-    reduced[live] = rows.reduced[0]
-    grad = np.zeros_like(arr)
-    grad[live] = sgn * rows.grad[0]
-    if not hessian:
-        return _SincTable(float(rows.value[0]), live, reduced, grad, None)
-    full = np.zeros((arr.size, arr.size))
-    full[np.ix_(live, live)] = np.outer(sgn, sgn) * rows.hessian[0]
-    return _SincTable(float(rows.value[0]), live, reduced, grad, full)
+    """:func:`_sinc_rows` of the validated weight vector ``arr`` alone."""
+    value, *fields = _sinc_rows(arr[None, :], hessian=hessian)
+    return _SincTable(float(value[0]), *(None if f is None else f[0] for f in fields))
 
 
 def grad_sinc_product_integral(a) -> np.ndarray:

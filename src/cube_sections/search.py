@@ -12,11 +12,15 @@ depend on the batch it runs in.  Converged points are folded into the
 closed positive orthant, deduplicated, and classified by the eigenvalues
 of a finite-difference tangent Hessian.
 
-Directions with zero coordinates are genuine non-smooth points; a seed
+Directions with zero coordinates are genuine non-smooth points.  Rows
 whose coordinates collapse below a threshold, or whose line search stalls
-on noise-sized coordinates, leaves the batch and recurses one seed at a
-time on the reduced dimension, and such points are certified through the
-degenerate verdicts of :func:`cube_sections.criticality.criticality_residuals`.
+on noise-sized coordinates, leave the batch with those coordinates zeroed
+and are refined again on the reduced dimension, in one batch per live
+count, so the recursion batches again at every level.  A seed that
+arrives with zero coordinates recurses on its own.  Certification reads
+the balance residuals and the stationarity gap of a whole batch off one
+corner table per live count, with the verdicts, degenerate ones included,
+of :func:`cube_sections.criticality.criticality_residuals`.
 """
 
 from __future__ import annotations
@@ -27,9 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .criticality import _corner_rows, criticality_residuals, grad_sinc_product_integral
+from .criticality import (
+    _corner_rows,
+    _degenerate_verdict,
+    _sinc_rows,
+    criticality_residuals,
+    grad_sinc_product_integral,
+)
 from .sections import central_volume, diagonal_direction, normalized_section
-from .weights import InvalidInputError, as_weight_vector
+from .weights import InvalidInputError, as_unit_vector, as_weight_vector
 
 __all__ = [
     "ScanConfig",
@@ -111,17 +121,6 @@ def canonicalize(a) -> np.ndarray:
     return arr / norm
 
 
-def _snap_to_diagonal(a: np.ndarray, tol: float = _SNAP_TOL) -> np.ndarray:
-    live = np.abs(a) > _ZERO_COORD_TOL
-    k = int(np.count_nonzero(live))
-    if k == 0:
-        return a
-    cand = np.where(live, 1.0 / math.sqrt(k), 0.0)
-    if float(np.max(np.abs(a - cand))) <= tol:
-        return cand
-    return a
-
-
 def _stationarity_gap(a: np.ndarray) -> float:
     """Max norm of the projected gradient; linear in the distance to a
     critical direction, unlike the balance residuals which degenerate
@@ -136,12 +135,61 @@ def _certified(a: np.ndarray) -> bool:
     return report.verdict != "not-critical" and _stationarity_gap(a) <= _CERTIFY_TOL
 
 
-def _gap_gated_snap(a: np.ndarray, slack: float) -> np.ndarray:
-    """Snap to the nearest diagonal unless that worsens the stationarity gap."""
-    wide = _snap_to_diagonal(a, tol=_WIDE_SNAP_TOL)
-    if wide is a or _stationarity_gap(wide) <= _stationarity_gap(a) + slack:
-        return wide
-    return _snap_to_diagonal(a)
+def _gap_rows(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """:func:`_stationarity_gap` of each row of ``a``, given its gradient rows."""
+    # one dot product per row, as _stationarity_gap takes the multiplier
+    lam = np.array([row @ g for row, g in zip(a, grad)])
+    return np.abs(grad - lam[:, None] * a).max(axis=1)
+
+
+def _certified_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`_certified` of each row of ``a``, bitwise.
+
+    The residual tables at the unit rows and the gap tables at the rows
+    themselves come from one :func:`~cube_sections.criticality._sinc_rows`
+    call, which makes one kernel call per live count.
+    """
+    count = len(a)
+    u = np.empty_like(a)
+    for i, row in enumerate(a):
+        u[i] = as_unit_vector(row)
+    table = _sinc_rows(np.concatenate([u, a]))
+    sigma = table.value[:count, None]
+    residuals = np.where(
+        table.live[:count], (table.reduced[:count] - sigma * (1.0 - u**2)) / sigma, 0.0
+    )
+    balanced = np.abs(residuals).max(axis=1) <= _CERTIFY_TOL
+    degenerate = np.array([_degenerate_verdict(row) is not None for row in u], dtype=bool)
+    return (balanced | degenerate) & (_gap_rows(a, table.grad[count:]) <= _CERTIFY_TOL)
+
+
+def _snap_rows(a: np.ndarray, slack: float) -> np.ndarray:
+    """Snap each row to the diagonal on its coordinates above 1e-7.
+
+    A row within 1e-4 of that diagonal is snapped when the stationarity
+    gap there is at most its own plus ``slack``, and otherwise only when
+    it is within 1e-7.  Both gaps of all rows come from one table.
+    """
+    live = np.abs(a) > _ZERO_COORD_TOL
+    k = live.sum(axis=1)
+    diag = np.where(live, 1.0 / np.sqrt(np.maximum(k, 1))[:, None], 0.0)
+    dist = np.abs(a - diag).max(axis=1)
+    near = np.flatnonzero((k > 0) & (dist <= _WIDE_SNAP_TOL))
+    out = a.copy()
+    if near.size:
+        both = np.concatenate([diag[near], a[near]])
+        gaps = _gap_rows(both, _sinc_rows(both).grad)
+        wide = gaps[: near.size] <= gaps[near.size :] + slack
+        take = near[wide | (dist[near] <= _SNAP_TOL)]
+        out[take] = diag[take]
+    return out
+
+
+def _unit(seed) -> np.ndarray | None:
+    """``|seed| / ||seed||``, or ``None`` for the zero vector."""
+    a = np.abs(as_weight_vector(seed, allow_zero=True))
+    norm = float(np.linalg.norm(a))
+    return None if norm == 0.0 else a / norm
 
 
 def refine_critical(
@@ -155,61 +203,101 @@ def refine_critical(
     coordinates collapsing below 1e-7 are dropped and the reduced problem
     is solved recursively, and a stalled iterate with coordinates small
     enough to drown the residual in cancellation noise is retried with
-    those coordinates zeroed.  The
-    returned vector is unit, nonnegative, and snapped exactly onto a
-    diagonal when doing so does not worsen the stationarity gap.
+    those coordinates zeroed.  The returned vector is unit, nonnegative,
+    and snapped exactly onto a diagonal when doing so does not worsen the
+    stationarity gap.
 
-    The seed runs as a batch of one through the same lock-step iteration
-    :func:`scan` runs all its seeds through, and its result is bitwise the
-    same either way.
+    The seed runs as a batch of one through the batched refinement that
+    :func:`scan` runs all its seeds through, retries on reduced dimensions
+    included, and its result is bitwise the same either way.
     """
     return _refine_seeds([seed], max_iters=max_iters, tol=tol)[0]
 
 
 def _refine_seeds(seeds, *, max_iters: int, tol: float) -> list[np.ndarray | None]:
-    """:func:`refine_critical` of every seed, with one Newton batch for all.
+    """:func:`refine_critical` of every seed, with one batch for all.
 
-    Seeds must share one dimension.  A seed leaves for per-seed code when
-    it is certified at the start, when it has a coordinate at or below
-    1e-7 (it recurses through the module-global :func:`refine_critical`),
-    when its line search stalls and when its Newton iteration converges.
+    Seeds must share one dimension.  A seed with a coordinate at or below
+    1e-7 recurses on its own through the module-global
+    :func:`refine_critical` on its live coordinates, and is then snapped
+    and certified by :func:`_certified`; every other seed goes to
+    :func:`_refine_live` in one batch.
     """
     results: list[np.ndarray | None] = [None] * len(seeds)
     batch: list[tuple[int, np.ndarray]] = []
     for i, seed in enumerate(seeds):
-        a = np.abs(as_weight_vector(seed, allow_zero=True))
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
+        a = _unit(seed)
+        if a is None:
             continue
-        a = a / norm
         live = a > _ZERO_COORD_TOL
-        if not np.all(live):
-            if not np.any(live):
-                continue
+        if np.all(live):
+            batch.append((i, a))
+        elif np.any(live):
             inner = refine_critical(a[live], max_iters=max_iters, tol=tol)
             if inner is None:
                 continue
             out = np.zeros_like(a)
             out[live] = inner
-            out = _gap_gated_snap(out, tol)
+            out = _snap_rows(out[None], tol)[0]
             results[i] = out if _certified(out) else None
-        elif _certified(a):
-            results[i] = _gap_gated_snap(a, tol)
-        else:
-            batch.append((i, a))
-    if not batch:
+    if batch:
+        rows, starts = zip(*batch)
+        for i, out in zip(rows, _refine_live(np.array(starts), max_iters=max_iters, tol=tol)):
+            results[i] = out
+    return results
+
+
+def _refine_live(a: np.ndarray, *, max_iters: int, tol: float) -> list[np.ndarray | None]:
+    """:func:`refine_critical` of unit rows whose coordinates are all above 1e-7.
+
+    Rows certified at the start are only snapped.  The others run through
+    one :func:`_newton_rows` batch.  Its ``"tiny"`` exits and its
+    ``"stalled"`` exits with their coordinates at or below 1e-3 zeroed
+    are normalized, and their coordinates above 1e-7 are refined again,
+    with one :func:`_refine_seeds` call per live count.  The converged
+    rows and the rebuilt reduced results share one tail: snap, then
+    certify.
+    """
+    n = a.shape[1]
+    results: list[np.ndarray | None] = [None] * len(a)
+    certified = _certified_rows(a)
+    for i, out in zip(np.flatnonzero(certified), _snap_rows(a[certified], tol)):
+        results[i] = out
+    todo = np.flatnonzero(~certified)
+    if not todo.size:
         return results
 
-    rows, starts = zip(*batch)
-    for i, (exit_, a) in zip(rows, _newton_rows(np.array(starts), max_iters=max_iters, tol=tol)):
-        if exit_ == "tiny":
-            results[i] = refine_critical(a, max_iters=max_iters, tol=tol)
-        elif exit_ == "stalled":
-            results[i] = _collapse_stalled(a, max_iters=max_iters, tol=tol)
-        elif exit_ == "converged":
-            a = np.abs(a) / float(np.linalg.norm(a))
-            a = _gap_gated_snap(a, tol)
-            results[i] = a if _certified(a) else None
+    finish: list[tuple[int, np.ndarray]] = []
+    retry: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for i, (exit_, x) in zip(todo, _newton_rows(a[todo], max_iters=max_iters, tol=tol)):
+        if exit_ == "converged":
+            finish.append((i, _unit(x)))
+            continue
+        if exit_ == "stalled":
+            # zero the noise-dominated coordinates of the stalled iterate
+            small = np.abs(x) <= _STALL_COLLAPSE_TOL
+            if not np.any(small) or np.all(small):
+                continue
+            x = np.where(small, 0.0, x)
+        elif exit_ != "tiny":
+            continue
+        u = _unit(x)
+        live = u > _ZERO_COORD_TOL
+        retry.setdefault(int(np.count_nonzero(live)), []).append((i, u, live))
+
+    for group in retry.values():
+        inner = _refine_seeds([u[live] for _, u, live in group], max_iters=max_iters, tol=tol)
+        for (i, _, live), out in zip(group, inner):
+            if out is not None:
+                full = np.zeros(n)
+                full[live] = out
+                finish.append((i, full))
+
+    if finish:
+        rows, vecs = zip(*finish)
+        snapped = _snap_rows(np.array(vecs), tol)
+        for i, out, ok in zip(rows, snapped, _certified_rows(snapped)):
+            results[i] = out if ok else None
     return results
 
 
@@ -337,16 +425,6 @@ def _newton_rows(
             if left.any():
                 state = tuple(v[~left] for v in state)
     return exits
-
-
-def _collapse_stalled(
-    a: np.ndarray, *, max_iters: int, tol: float
-) -> np.ndarray | None:
-    """Zero out noise-dominated coordinates of a stalled iterate and retry."""
-    tiny = np.abs(a) <= _STALL_COLLAPSE_TOL
-    if not np.any(tiny) or np.all(tiny):
-        return None
-    return refine_critical(np.where(tiny, 0.0, a), max_iters=max_iters, tol=tol)
 
 
 _PROBE_STEP = 3e-2

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cube_sections import search
 from cube_sections.search import (
     CriticalPoint,
     ScanConfig,
+    _certified,
+    _certified_rows,
     _refine_seeds,
     _scan_seeds,
+    _snap_rows,
     _solve_rows,
     canonicalize,
     classify_critical_point,
@@ -89,8 +93,10 @@ def test_refine_accepts_exact_critical_point():
         _scan_seeds(ScanConfig(dimension=3, seed_count=10, rng_seed=3))
         + [np.array([1.0, 1e-3, 1e-3])]
         + _scan_seeds(ScanConfig(dimension=3, seed_count=10, rng_seed=4)),
+        # 150 of these rows stall and 18 leave with a tiny coordinate
+        _scan_seeds(ScanConfig(dimension=4, seed_count=200, rng_seed=1)),
     ],
-    ids=["n4", "n3-collapse"],
+    ids=["n4", "n3-collapse", "n4-retries"],
 )
 def test_refine_does_not_depend_on_the_batch(seeds):
     # scan refines all its seeds in one lock-step batch; every seed must
@@ -101,6 +107,55 @@ def test_refine_does_not_depend_on_the_batch(seeds):
         assert (got is None) == (alone is None)
         if got is not None:
             np.testing.assert_array_equal(got, alone)
+
+
+def test_retries_run_in_one_newton_batch_per_dimension(monkeypatch):
+    shapes = []
+    newton_rows = search._newton_rows
+
+    def counted(a, **kwargs):
+        shapes.append(a.shape)
+        return newton_rows(a, **kwargs)
+
+    monkeypatch.setattr(search, "_newton_rows", counted)
+    seeds = _scan_seeds(ScanConfig(dimension=4, seed_count=200, rng_seed=1))
+    _refine_seeds(seeds, max_iters=60, tol=1e-11)
+    dims = [n for _, n in shapes]
+    assert len(shapes) <= 2 and len(set(dims)) == len(dims)
+    assert shapes[0] == (200, 4)
+
+
+@st.composite
+def _certification_rows(draw):
+    n = draw(st.integers(2, 5))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "diagonal", "zeros"]), min_size=1, max_size=6)):
+        if kind == "random":
+            row = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        elif kind == "diagonal":
+            k = draw(st.integers(1, n))
+            offset = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+            noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+            row = diagonal_direction(k, n)[draw(st.permutations(range(n)))] + offset * np.array(noise)
+        else:
+            row = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1)):
+                row[i] = 0.0
+        row = np.asarray(row, dtype=float)
+        if np.max(np.abs(row)) > 1e-3:
+            rows.append(row)
+    if not rows:
+        rows.append(diagonal_direction(n, n))
+    return np.array(rows)
+
+
+@given(_certification_rows())
+@settings(deadline=None, max_examples=200)
+def test_batched_certification_matches_one_at_a_time(rows):
+    assert _certified_rows(rows).tolist() == [_certified(a) for a in rows]
+    snapped = _snap_rows(np.abs(rows), 1e-11)
+    for row, got in zip(np.abs(rows), snapped):
+        np.testing.assert_array_equal(_snap_rows(row[None], 1e-11)[0], got)
 
 
 def test_solve_rows_loses_only_the_singular_row():
