@@ -395,10 +395,17 @@ def _newton_multistart(fun, jac, seeds, tol, max_iter=80):
 
 
 def _dedup(points: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The first point of each cluster, in sorted order.
+
+    A point is kept when no earlier kept point lies within ``tol`` in the
+    max norm.  The first point left is always kept, so one array pass per
+    kept root drops everything near it.
+    """
     roots: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - r)) <= tol for r in roots):
-            roots.append(p)
+    while len(points):
+        roots.append(points[0])
+        rest = points[1:]
+        points = rest[~(np.max(np.abs(rest - points[0]), axis=1) <= tol)]
     roots.sort(key=lambda r: tuple(r))
     return roots
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import cdf_at, density_at
+from .density import _cdf_spread, density_at
 from .weights import (
     InvalidInputError,
     as_unit_vector,
@@ -169,10 +169,8 @@ def _slab_rhs(u: np.ndarray, k: int) -> float:
     """Right-hand side of the slab identity at unit ``u`` with ``u_k != 0``."""
     ak = abs(float(u[k % u.size]))
     red = reduce_weights(u, k)
-    if red.degenerate:
-        spread = 1.0  # empty sum is the point mass at 0
-    else:
-        spread = cdf_at(red.coords, ak) - cdf_at(red.coords, -ak)
+    # the empty sum is the point mass at 0
+    spread = 1.0 if red.degenerate else _cdf_spread(red.coords, ak)
     return 2.0 ** (u.size - 1) * spread / ak
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cube_sections.casework import (
     INTERIOR_BOUND_TRIPLE,
     Case,
+    _dedup,
     gaussian_heuristic,
     gaussian_heuristic_match,
     n3_cyclic_sum,
@@ -182,6 +183,34 @@ def test_solve_unequal_system():
     # and the root really is the non-diagonal critical direction
     a = np.array([roots[0][0], roots[0][0], roots[0][1], roots[0][2]])
     assert criticality_residuals(a).verdict == "critical"
+
+
+def _dedup_loop(points, tol):
+    roots = []
+    for p in points:
+        if not any(np.max(np.abs(p - r)) <= tol for r in roots):
+            roots.append(p)
+    roots.sort(key=lambda r: tuple(r))
+    return roots
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 60),
+    st.integers(1, 3),
+    st.sampled_from([1e-9, 0.05, 0.3]),
+)
+@settings(deadline=None, max_examples=60)
+def test_dedup_matches_the_greedy_loop(seed, count, dim, tol):
+    # clustered points, so kept roots shadow later points of other clusters
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 1.0, (4, dim))
+    points = centres[rng.integers(0, 4, count)] + rng.uniform(-0.2, 0.2, (count, dim))
+    points[rng.random(count) < 0.1] = np.nan
+    got, want = _dedup(points, tol), _dedup_loop(points, tol)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_triple_system_at_known_root():

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cube_sections.density import (
     MAX_CLOSED_FORM_WEIGHTS,
+    _cdf_spread,
+    _compensated_sum,
+    _corner_shifts,
     cdf_at,
     characteristic_function,
     density_at,
@@ -177,8 +180,8 @@ def test_point_evaluators_match_pieces(w, frac):
     assert cdf_at(w, x) == pytest.approx(float(f.cumulative(x)), rel=1e-10, abs=1e-12)
 
 
-def _fraction_corner_sum(w, r, p) -> float:
-    """Exact ``sum (-1)^#pos (r - s)_+^p / (2^m p! prod w)``, rounded once."""
+def _fraction_power_sum(w, r, p) -> Fraction:
+    """Exact ``sum (-1)^#pos (r - s)_+^p / (2^m p! prod w)``."""
     w = [Fraction(abs(x)) for x in w]
     r = Fraction(r)
     total = Fraction(0)
@@ -186,7 +189,12 @@ def _fraction_corner_sum(w, r, p) -> float:
         d = r - sum(s * x for s, x in zip(signs, w))
         if d > 0:
             total += (-1) ** signs.count(1) * d**p
-    return float(total / (2 ** len(w) * math.factorial(p) * math.prod(w)))
+    return total / (2 ** len(w) * math.factorial(p) * math.prod(w))
+
+
+def _fraction_corner_sum(w, r, p) -> float:
+    """:func:`_fraction_power_sum`, rounded once."""
+    return float(_fraction_power_sum(w, r, p))
 
 
 @given(
@@ -212,6 +220,32 @@ def test_density_at_tiny_weight_direction():
         (1e-8, 1e-8, 0.6, 0.8), 0.0, 3
     )
     assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == pytest.approx(0.625, rel=1e-15)
+
+
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=0, max_size=6),
+    st.lists(st.floats(1e-9, 1e-3), min_size=0, max_size=2),
+    st.floats(1e-9, 1e-3),
+)
+@settings(deadline=None, max_examples=60)
+def test_cdf_spread_exact_for_small_x(big, tiny, x):
+    # F(x) - F(-x) for small x is O(x); as a difference of two CDFs near 1/2
+    # it kept only the absolute accuracy of each, about 1e-16
+    w = big + tiny or [x]
+    m = len(w)
+    want = float(_fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m))
+    assert _cdf_spread(w, x) == want
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_cdf_spread_float_path(m):
+    # above 8 weights the spread is one compensated float sum; against the
+    # exact rational it is limited only by the rounding of its terms
+    rng = np.random.default_rng(m)
+    w = rng.uniform(0.25, 1.0, m)
+    for x in (1e-6, 0.3, 1.0, float(np.sum(w)) + 1.0):
+        want = _fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m)
+        assert _cdf_spread(w, x) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_closed_form_exact_with_small_weights():
@@ -282,3 +316,64 @@ def test_fourier_inversion(w, r):
             limit=400,
         )
     assert integral / math.pi == pytest.approx(density_at(w, r), abs=1e-6)
+
+
+# -- compensated corner sums above 8 weights ----------------------------
+
+
+def _kernel_terms(w, r, p):
+    """The float corner terms ``_truncated_power_sum`` sums, built the same way."""
+    shifts, parity = _corner_shifts(np.abs(np.asarray(w, dtype=float)))
+    d = r - shifts
+    live = d > 0.0
+    return parity[live] * d[live] ** p
+
+
+@given(
+    st.integers(9, 16),
+    st.sampled_from(["uniform", "normal"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(-0.99, 0.99),
+    st.booleans(),
+)
+@settings(deadline=None, max_examples=40)
+# far in the tail the terms cancel beyond twice the working precision
+# (Sigma|terms| / |sum| ~ 1e17); without the fsum fallback this was 2 ulps off
+@example(m=15, kind="uniform", seed=2, frac=0.875, cdf=False)
+def test_compensated_sum_matches_fsum(m, kind, seed, frac, cdf):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.25, 1.0, m) if kind == "uniform" else rng.standard_normal(m)
+    terms = _kernel_terms(w, frac * float(np.sum(np.abs(w))), m if cdf else m - 1)
+    want = math.fsum(terms)
+    assert abs(_compensated_sum(terms) - want) <= np.spacing(abs(want))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [0.1],
+        [1e16, 1.0],
+        [1e16, 1.0, -1e16],
+        [0.1, 0.2, 0.3, -0.6, 1e-20],
+        [1.0, 1e100, 1.0, -1e100, 1e-3, 3.0, -2.0],
+        np.random.default_rng(5).standard_normal(1000) * 10.0 ** np.arange(-20, 30, 0.05),
+    ],
+    ids=["one", "two", "three", "five", "seven", "1000"],
+)
+def test_compensated_sum_short_and_uneven_lengths(terms):
+    # an odd length at any level carries its last element to the end
+    terms = np.asarray(terms, dtype=float)
+    assert _compensated_sum(terms) == math.fsum(terms)
+
+
+@pytest.mark.parametrize("m", range(9, 15))
+def test_point_evaluators_above_exact_limit_equal_fsum(m):
+    # the compensated sum must round the kernel's own terms as fsum does
+    rng = np.random.default_rng(100 + m)
+    w = rng.uniform(0.25, 1.0, m) * rng.choice([-1.0, 1.0], m)
+    absw = np.abs(w)
+    for frac in (-0.7, -0.2, 0.0, 0.35, 0.9):
+        r = frac * float(np.sum(absw))
+        for evaluator, p in ((density_at, m - 1), (cdf_at, m)):
+            scale = 1.0 / (2.0**m * float(np.prod(absw)) * math.factorial(p))
+            assert evaluator(w, r) == scale * math.fsum(_kernel_terms(w, r, p))
