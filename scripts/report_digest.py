@@ -5,7 +5,10 @@ every report's ``volume``, ``facet_section_volumes``, ``cone_volumes`` and
 ``cone_sum``, in direction order.  The sets are the ``report-highdim``
 benchmark directions (coordinate magnitudes in [0.25, 1] with random signs,
 n = 10..18) for rng seeds 1, 7 and 11, and 15 standard-normal directions per
-n = 10..18.  Run it once per checkout, for example
+n = 10..18.  A last line gives the SHA-256 of the CSV that
+``cli.main(["fig1-grid", "--resolution", "91"])`` prints, the Figure 1 grid
+of 16,471 three-dimensional central volumes.  Run it once per checkout, for
+example
 
     python scripts/report_digest.py --src ../other/src
     python scripts/report_digest.py --src src
@@ -14,7 +17,9 @@ and compare the lines: equal digests mean bitwise equal reports.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import time
 from pathlib import Path
@@ -24,6 +29,7 @@ import numpy as np
 DIMENSIONS = range(10, 19)
 UNIFORM_SEEDS = (1, 7, 11)
 NORMAL_PER_DIMENSION = 15
+GRID_RESOLUTION = 91
 
 
 def direction_sets():
@@ -49,7 +55,7 @@ def main():
     )
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
-    from cube_sections import sections
+    from cube_sections import cli, sections
 
     for name, directions in direction_sets():
         start = time.perf_counter()
@@ -63,6 +69,18 @@ def main():
             f"{name} reports={len(directions)} sha256={digest.hexdigest()} seconds={elapsed:.2f}",
             flush=True,
         )
+
+    start = time.perf_counter()
+    csv = io.StringIO()
+    with contextlib.redirect_stdout(csv):
+        cli.main(["fig1-grid", "--resolution", str(GRID_RESOLUTION)])
+    text = csv.getvalue()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    elapsed = time.perf_counter() - start
+    print(
+        f"fig1-grid resolution={GRID_RESOLUTION} rows={len(text.splitlines()) - 1} sha256={digest} seconds={elapsed:.2f}",
+        flush=True,
+    )
 
 
 if __name__ == "__main__":

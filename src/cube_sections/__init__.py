@@ -44,8 +44,6 @@ from .density import (
     density_at,
     density_by_convolution,
     density_closed_form,
-    eval_cdf,
-    eval_density,
 )
 from .oracles import (
     MonteCarloEstimate,
@@ -78,11 +76,9 @@ from .sections import (
 )
 from .weights import (
     InvalidInputError,
-    ReducedWeights,
     as_unit_vector,
     as_weight_vector,
     nonzero_weights,
-    reduce_weights,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +95,6 @@ __all__ = [
     "PiecewisePolynomial",
     "QuadResidual",
     "QuadratureConfig",
-    "ReducedWeights",
     "ScanConfig",
     "SectionReport",
     "TripleRoot",
@@ -119,8 +114,6 @@ __all__ = [
     "density_closed_form",
     "diagonal_direction",
     "diagonal_section_volume",
-    "eval_cdf",
-    "eval_density",
     "facet_section_volume",
     "gaussian_heuristic",
     "gaussian_heuristic_match",
@@ -139,7 +132,6 @@ __all__ = [
     "normalized_section",
     "pairwise_balance",
     "parallel_section",
-    "reduce_weights",
     "refine_critical",
     "scan",
     "section_report",

@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import MAX_CLOSED_FORM_WEIGHTS, _sign_patterns, density_at
-from .sections import cone_volume
+from .sections import _cone_over, _facet_slice
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
@@ -90,7 +90,7 @@ def sinc_product_integral(a) -> float:
     Evaluated as ``2 pi f_a(0)`` by Fourier inversion of the product of
     sinc characteristic functions; homogeneous of degree -1.
     """
-    return 2.0 * math.pi * density_at(as_weight_vector(a), 0.0)
+    return 2.0 * math.pi * density_at(a, 0.0)
 
 
 # corner-coordinate entries one pass of the kernel holds per temporary
@@ -380,7 +380,7 @@ def cone_balance(a) -> ConeBalance:
     if np.any(1.0 - u**2 == 0.0):
         raise InvalidInputError("cone balance undefined at coordinate directions")
     ratios = np.array(
-        [cone_volume(u, k) / (1.0 - u[k] ** 2) for k in range(u.size)]
+        [_cone_over(u, k, _facet_slice(u, k)) / (1.0 - u[k] ** 2) for k in range(u.size)]
     )
     mu_hat = float(np.mean(ratios))
     spread = float((np.max(ratios) - np.min(ratios)) / mu_hat)

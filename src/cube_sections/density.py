@@ -49,8 +49,6 @@ __all__ = [
     "density_by_convolution",
     "density_at",
     "cdf_at",
-    "eval_density",
-    "eval_cdf",
     "characteristic_function",
     "MAX_CLOSED_FORM_WEIGHTS",
 ]
@@ -351,16 +349,16 @@ def _truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
     return scale * _compensated_sum(terms)
 
 
-def _cdf_spread(a, x: float) -> float:
-    """``F(x) - F(-x)`` for the CDF ``F`` of ``sum a_i X_i`` and ``x >= 0``.
+def _cdf_spread(w: np.ndarray, x: float) -> float:
+    """``F(x) - F(-x)`` for the CDF ``F`` of ``sum w_i X_i`` and ``x >= 0``.
 
-    One corner sum, ``sum_eps (-1)^{#pos} ((x - s_eps)_+^m - (-x - s_eps)_+^m)
-    / (2^m m! prod w)``, in place of two CDFs near 1/2 whose difference
-    cancels for small ``x``.  Up to ``EXACT_CORNER_WEIGHTS`` weights it is
-    exact and rounded once; beyond that both halves' terms go through one
-    :func:`_compensated_sum`.
+    ``w`` holds live weights, as :func:`~cube_sections.weights.nonzero_weights`
+    returns them, and is not checked again.  One corner sum,
+    ``sum_eps (-1)^{#pos} ((x - s_eps)_+^m - (-x - s_eps)_+^m) / (2^m m! prod w)``,
+    in place of two CDFs near 1/2 whose difference cancels for small ``x``.
+    Up to ``EXACT_CORNER_WEIGHTS`` weights it is exact and rounded once;
+    beyond that both halves' terms go through one :func:`_compensated_sum`.
     """
-    w = _prepared(a)
     m = w.size
     x = float(x)
     if m <= EXACT_CORNER_WEIGHTS:
@@ -401,16 +399,6 @@ def cdf_at(a, r: float) -> float:
         h = float(w[0])
         return min(max((r + h) / (2.0 * h), 0.0), 1.0)
     return _truncated_power_sum(w, r, m)
-
-
-def eval_density(f: PiecewisePolynomial, r) -> float | np.ndarray:
-    """Evaluate a constructed density, zero outside its support."""
-    return f(r)
-
-
-def eval_cdf(f: PiecewisePolynomial, r) -> float | np.ndarray:
-    """Antiderivative of a constructed density from the left endpoint."""
-    return f.cumulative(r)
 
 
 def characteristic_function(a, t):

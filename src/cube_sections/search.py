@@ -38,8 +38,8 @@ from .criticality import (
     criticality_residuals,
     grad_sinc_product_integral,
 )
-from .sections import central_volume, diagonal_direction, normalized_section
-from .weights import InvalidInputError, as_unit_vector, as_weight_vector
+from .sections import _central, _normalized, diagonal_direction
+from .weights import InvalidInputError, _unit_vector, as_weight_vector
 
 __all__ = [
     "ScanConfig",
@@ -152,7 +152,7 @@ def _certified_rows(a: np.ndarray) -> np.ndarray:
     count = len(a)
     u = np.empty_like(a)
     for i, row in enumerate(a):
-        u[i] = as_unit_vector(row)
+        u[i] = _unit_vector(row)
     table = _sinc_rows(np.concatenate([u, a]))
     sigma = table.value[:count, None]
     residuals = np.where(
@@ -449,7 +449,7 @@ def classify_critical_point(u, *, step: float = 1e-4) -> str:
     d = basis.shape[1]
 
     def value(t: np.ndarray) -> float:
-        return normalized_section(u + basis @ t)
+        return _normalized(u + basis @ t)
 
     f0 = value(np.zeros(d))
 
@@ -507,7 +507,7 @@ def classify_critical_point(u, *, step: float = 1e-4) -> str:
 
     if label == "saddle" or label == "undetermined":
         return label
-    sigma = normalized_section(u)
+    sigma = _normalized(u)
     if label == "local-min" and abs(sigma - math.pi) <= _GLOBAL_VALUE_TOL:
         return "global-min"
     if label == "local-max" and abs(sigma - math.sqrt(2.0) * math.pi) <= _GLOBAL_VALUE_TOL:
@@ -571,8 +571,8 @@ def scan(config: ScanConfig) -> list[CriticalPoint]:
         points.append(
             CriticalPoint(
                 canonical=rep,
-                sigma=normalized_section(rep),
-                volume=central_volume(rep),
+                sigma=_normalized(rep),
+                volume=_central(rep),
                 classification=classify_critical_point(rep),
                 basin_count=counts[i],
                 diagonal_k=_diagonal_index(rep),

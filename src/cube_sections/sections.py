@@ -11,6 +11,11 @@ Boundary convention: densities are evaluated right-continuously, except
 that geometric quantities at a support endpoint use the one-sided limit
 from inside the support (a section of a facet by its own boundary plane is
 still a face, not the empty set).
+
+Each public function coerces its input once; the private helpers it calls
+take the validated array (``_section_at`` any nonzero vector, the facet
+helpers the unit vector and an index in range) and check nothing again.
+The exact kernel ``density_at`` keeps its own check.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import numpy as np
 from .density import _cdf_spread, density_at
 from .weights import (
     InvalidInputError,
+    _nonzero_weights,
+    _unit_vector,
     as_unit_vector,
     as_weight_vector,
-    nonzero_weights,
-    reduce_weights,
 )
 
 __all__ = [
@@ -41,19 +46,6 @@ __all__ = [
     "diagonal_direction",
     "diagonal_section_volume",
 ]
-
-
-def _density_inner(coords: np.ndarray, r: float) -> float:
-    """Density at ``r`` using the inner one-sided limit at support endpoints.
-
-    Only the single-box density is discontinuous, so this differs from
-    ``density_at`` solely at ``|r| = |w|`` for one nonzero weight ``w``.
-    """
-    w = nonzero_weights(coords)
-    if w.size == 1:
-        h = float(w[0])
-        return 0.5 / h if abs(r) <= h else 0.0
-    return density_at(w, r)
 
 
 def parallel_section(a, r: float, *, with_flag: bool = False):
@@ -74,27 +66,32 @@ def parallel_section(a, r: float, *, with_flag: bool = False):
     -------
     float, or (float, bool) when ``with_flag`` is set.
     """
-    arr = as_weight_vector(a)
+    value, flag = _section_at(as_weight_vector(a), float(r))
+    return (value, flag) if with_flag else value
+
+
+def _section_at(arr: np.ndarray, r: float) -> tuple[float, bool]:
+    """:func:`parallel_section` of a validated array, with its flag."""
     n = arr.size
-    w = nonzero_weights(arr)
-    r = float(r)
+    w = _nonzero_weights(arr)
     if w.size == 1:
         h = float(w[0])
         if abs(r) < h:
-            value, flag = 2.0 ** (n - 1), False
-        elif abs(r) == h:
-            value, flag = 2.0 ** (n - 1), True
-        else:
-            value, flag = 0.0, False
-    else:
-        value = 2.0**n * float(np.linalg.norm(arr)) * density_at(arr, r)
-        flag = False
-    return (value, flag) if with_flag else value
+            return 2.0 ** (n - 1), False
+        if abs(r) == h:
+            return 2.0 ** (n - 1), True
+        return 0.0, False
+    return 2.0**n * float(np.linalg.norm(arr)) * density_at(arr, r), False
 
 
 def central_volume(a) -> float:
     """``Vol_{n-1}(Q_n \\cap a^\\perp)``; invariant under scaling of ``a``."""
-    return parallel_section(as_unit_vector(a), 0.0)
+    return _central(as_weight_vector(a))
+
+
+def _central(arr: np.ndarray) -> float:
+    """:func:`central_volume` of a validated array."""
+    return _section_at(_unit_vector(arr), 0.0)[0]
 
 
 def normalized_section(a) -> float:
@@ -103,8 +100,19 @@ def normalized_section(a) -> float:
     Equals ``pi`` at coordinate directions and ``sqrt(2) pi`` at two-
     coordinate diagonals, the extremes of the Hadwiger-Ball bounds.
     """
-    arr = as_weight_vector(a)
-    return math.pi * central_volume(arr) / 2.0 ** (arr.size - 1)
+    return _normalized(as_weight_vector(a))
+
+
+def _normalized(arr: np.ndarray) -> float:
+    """:func:`normalized_section` of a validated array."""
+    return math.pi * _central(arr) / 2.0 ** (arr.size - 1)
+
+
+def _facet_index(k: int, n: int) -> int:
+    """``k`` as an index in ``[0, n)``; negative ``k`` counts from the end."""
+    if not -n <= k < n:
+        raise InvalidInputError(f"index {k} out of range for size {n}")
+    return k % n
 
 
 def facet_section_volume(a, k: int) -> float:
@@ -114,17 +122,25 @@ def facet_section_volume(a, k: int) -> float:
     the slice volume equals ``s_reduced(a_k)`` over the (n-1)-cube.
     Degenerate case ``a = +-e_k`` returns 0.
     """
-    return _facet_slice(as_unit_vector(a), k)
+    u = as_unit_vector(a)
+    return _facet_slice(u, _facet_index(k, u.size))
 
 
 def _facet_slice(u: np.ndarray, k: int) -> float:
-    red = reduce_weights(u, k)
-    if red.degenerate:
+    """Facet slice of unit ``u`` at ``x_k = 1``, for ``k`` in ``[0, n)``."""
+    rest = np.delete(u, k)
+    if not np.any(rest):
         return 0.0
-    m = red.coords.size  # the facet is an (n-1)-cube
-    return 2.0**m * float(np.linalg.norm(red.coords)) * _density_inner(
-        red.coords, abs(float(u[k % u.size]))
-    )
+    h = abs(float(u[k]))
+    w = _nonzero_weights(rest)
+    if w.size > 1:
+        density = density_at(w, h)
+    else:
+        # the box is the one discontinuous density; at its support endpoint
+        # take the limit from inside
+        box = float(w[0])
+        density = 0.5 / box if h <= box else 0.0
+    return 2.0**rest.size * float(np.linalg.norm(rest)) * density
 
 
 def cone_volume(a, k: int) -> float:
@@ -137,15 +153,16 @@ def cone_volume(a, k: int) -> float:
     u = as_unit_vector(a)
     if u.size < 2:
         raise InvalidInputError("cone volumes need dimension at least 2")
+    k = _facet_index(k, u.size)
     return _cone_over(u, k, _facet_slice(u, k))
 
 
 def _cone_over(u: np.ndarray, k: int, base: float) -> float:
     """Cone volume over the facet slice ``base`` of unit ``u``."""
-    red = reduce_weights(u, k)
-    if red.degenerate:
+    rest = np.delete(u, k)
+    if not np.any(rest):
         return 0.0
-    return base / ((u.size - 1) * float(np.linalg.norm(red.coords)))
+    return base / ((u.size - 1) * float(np.linalg.norm(rest)))
 
 
 def slab_identity_check(a, k: int) -> tuple[float, float]:
@@ -160,17 +177,18 @@ def slab_identity_check(a, k: int) -> tuple[float, float]:
     with ``F`` the CDF of the reduced weight sum.  Returns ``(lhs, rhs)``.
     """
     u = as_unit_vector(a)
-    if u[k % u.size] == 0.0:
+    k = _facet_index(k, u.size)
+    if u[k] == 0.0:
         raise InvalidInputError("slab identity needs a_k != 0")
-    return parallel_section(u, 0.0), _slab_rhs(u, k)
+    return _section_at(u, 0.0)[0], _slab_rhs(u, k)
 
 
 def _slab_rhs(u: np.ndarray, k: int) -> float:
     """Right-hand side of the slab identity at unit ``u`` with ``u_k != 0``."""
-    ak = abs(float(u[k % u.size]))
-    red = reduce_weights(u, k)
+    ak = abs(float(u[k]))
+    rest = np.delete(u, k)
     # the empty sum is the point mass at 0
-    spread = 1.0 if red.degenerate else _cdf_spread(red.coords, ak)
+    spread = _cdf_spread(_nonzero_weights(rest), ak) if np.any(rest) else 1.0
     return 2.0 ** (u.size - 1) * spread / ak
 
 
@@ -226,7 +244,7 @@ def section_report(a) -> SectionReport:
     """Compute the central volume and all per-facet cross-checks."""
     u = as_unit_vector(a)
     n = u.size
-    vol = parallel_section(u, 0.0)
+    vol = _section_at(u, 0.0)[0]
     facets = np.array([_facet_slice(u, k) for k in range(n)])
     if n >= 2:
         cones = np.array([_cone_over(u, k, facets[k]) for k in range(n)])
@@ -256,4 +274,4 @@ def diagonal_direction(k: int, n: int) -> np.ndarray:
 
 def diagonal_section_volume(n: int, k: int) -> float:
     """Central volume of a k-diagonal section of ``Q_n``."""
-    return central_volume(diagonal_direction(k, n))
+    return _central(diagonal_direction(k, n))

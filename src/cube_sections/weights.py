@@ -5,21 +5,23 @@ A weight vector ``a`` describes the linear form ``sum_i a_i X_i`` with the
 hyperplane normal, selects the central section ``Q_n \\cap a^\\perp`` of the
 cube ``Q_n = [-1, 1]^n``.  Vectors are kept exactly as given; nothing in this
 module normalizes silently.
+
+A public function of the package coerces and validates its input once,
+through ``as_weight_vector``, ``as_unit_vector`` or ``nonzero_weights``.
+Past that boundary only validated float arrays travel, and the private
+forms ``_unit_vector`` and ``_nonzero_weights`` do the same arithmetic on
+them without checking again.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "InvalidInputError",
     "RELATIVE_WEIGHT_FLOOR",
-    "ReducedWeights",
     "as_weight_vector",
     "as_unit_vector",
-    "reduce_weights",
     "nonzero_weights",
 ]
 
@@ -62,7 +64,11 @@ def as_weight_vector(a, *, allow_zero: bool = False) -> np.ndarray:
 
 def as_unit_vector(a) -> np.ndarray:
     """Coerce ``a`` and rescale it to Euclidean norm 1."""
-    arr = as_weight_vector(a)
+    return _unit_vector(as_weight_vector(a))
+
+
+def _unit_vector(arr: np.ndarray) -> np.ndarray:
+    """:func:`as_unit_vector` of a validated nonzero float array."""
     # divide out the peak first so squaring cannot underflow to zero
     arr = arr / np.max(np.abs(arr))
     return arr / np.linalg.norm(arr)
@@ -76,45 +82,10 @@ def nonzero_weights(a) -> np.ndarray:
     density only depends on this reduction.  Coordinates below
     ``RELATIVE_WEIGHT_FLOOR`` times the largest one are treated as zero.
     """
-    arr = np.abs(as_weight_vector(a, allow_zero=True))
+    return _nonzero_weights(as_weight_vector(a, allow_zero=True))
+
+
+def _nonzero_weights(arr: np.ndarray) -> np.ndarray:
+    """:func:`nonzero_weights` of a validated nonempty float array."""
+    arr = np.abs(arr)
     return arr[arr > RELATIVE_WEIGHT_FLOOR * float(np.max(arr))]
-
-
-@dataclass(frozen=True)
-class ReducedWeights:
-    """A weight vector with one coordinate deleted.
-
-    Attributes
-    ----------
-    parent : numpy.ndarray
-        The original vector.
-    omitted_index : int
-        0-based index of the deleted coordinate.
-    coords : numpy.ndarray
-        ``parent`` with that coordinate removed; may be empty for 1-d input.
-    """
-
-    parent: np.ndarray
-    omitted_index: int
-    coords: np.ndarray = field(repr=True)
-
-    @property
-    def degenerate(self) -> bool:
-        """True when no randomness is left: empty or all-zero remainder."""
-        return self.coords.size == 0 or not np.any(self.coords)
-
-
-def reduce_weights(a, k: int) -> ReducedWeights:
-    """Delete coordinate ``k`` (0-based) from the weight vector.
-
-    Raises
-    ------
-    InvalidInputError
-        If ``k`` is out of range.
-    """
-    arr = as_weight_vector(a, allow_zero=True)
-    if not -arr.size <= k < arr.size:
-        raise InvalidInputError(f"index {k} out of range for size {arr.size}")
-    k = k % arr.size
-    coords = np.delete(arr, k)
-    return ReducedWeights(parent=arr, omitted_index=k, coords=coords)

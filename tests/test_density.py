@@ -18,8 +18,6 @@ from cube_sections.density import (
     density_at,
     density_by_convolution,
     density_closed_form,
-    eval_cdf,
-    eval_density,
 )
 from cube_sections.weights import InvalidInputError
 
@@ -49,9 +47,9 @@ def test_box_density():
 
 def test_triangle_values():
     f = density_closed_form((1.0, 1.0))
-    assert eval_density(f, 0.0) == pytest.approx(0.5)
-    assert eval_density(f, 2.0) == 0.0
-    assert eval_density(f, -1.0) == pytest.approx(0.25)
+    assert f(0.0) == pytest.approx(0.5)
+    assert f(2.0) == 0.0
+    assert f(-1.0) == pytest.approx(0.25)
 
 
 def test_three_and_four_weight_centers():
@@ -62,7 +60,7 @@ def test_three_and_four_weight_centers():
 
 def test_triangle_cdf_value():
     f = density_closed_form((1.0, 1.0))
-    assert eval_cdf(f, 1.0) == pytest.approx(7.0 / 8.0, rel=1e-14)
+    assert f.cumulative(1.0) == pytest.approx(7.0 / 8.0, rel=1e-14)
     assert cdf_at((1.0, 1.0), 1.0) == pytest.approx(7.0 / 8.0, rel=1e-14)
 
 
@@ -231,8 +229,8 @@ def test_density_at_tiny_weight_direction():
 def test_cdf_spread_exact_for_small_x(big, tiny, x):
     # F(x) - F(-x) for small x is O(x); as a difference of two CDFs near 1/2
     # it kept only the absolute accuracy of each, about 1e-16
-    w = big + tiny or [x]
-    m = len(w)
+    w = np.array(big + tiny or [x])
+    m = w.size
     want = float(_fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m))
     assert _cdf_spread(w, x) == want
 

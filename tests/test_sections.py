@@ -1,11 +1,15 @@
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cube_sections import sections
+import cube_sections
+from cube_sections import sections, weights
+from cube_sections.criticality import cone_balance
 from cube_sections.sections import (
     central_volume,
     cone_volume,
@@ -198,6 +202,72 @@ def test_report_kernel_calls(monkeypatch):
     assert len(calls) == 2 * n + 1
     assert calls.count("_cdf_spread") == n
     assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
+
+
+def test_inputs_are_coerced_once(monkeypatch):
+    # a public call validates its input once; past that only density_at,
+    # once per corner sum, checks its weights again
+    calls = []
+    original = weights.as_weight_vector
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(cube_sections.__path__):
+        module = importlib.import_module(f"cube_sections.{info.name}")
+        if getattr(module, "as_weight_vector", None) is original:
+            monkeypatch.setattr(module, "as_weight_vector", counted)
+
+    def coercions(fn, a):
+        calls.clear()
+        fn(a)
+        return len(calls)
+
+    n = 6
+    assert coercions(central_volume, np.arange(1.0, 4.0)) == 2
+    assert coercions(normalized_section, np.arange(1.0, 4.0)) == 2
+    assert coercions(section_report, np.arange(1.0, n + 1.0)) == n + 2
+    assert coercions(cone_balance, np.arange(1.0, 5.0)) == 5
+
+
+# -- facet index handling ----------------------------------------------
+
+
+def test_facet_functions_reject_out_of_range_index():
+    for k in (3, -4):
+        with pytest.raises(InvalidInputError):
+            facet_section_volume((1.0, 2.0, 3.0), k)
+        with pytest.raises(InvalidInputError):
+            cone_volume((1.0, 2.0, 3.0), k)
+        with pytest.raises(InvalidInputError):
+            slab_identity_check((1.0, 2.0, 3.0), k)
+
+
+def test_facet_functions_negative_index():
+    # k < 0 counts from the end, k + n
+    a = (1.0, 2.0, 3.0)
+    for k in (-1, -2, -3):
+        assert facet_section_volume(a, k) == facet_section_volume(a, k + 3)
+        assert cone_volume(a, k) == cone_volume(a, k + 3)
+        assert slab_identity_check(a, k) == slab_identity_check(a, k + 3)
+
+
+def test_facet_functions_one_dimensional():
+    # deleting the only coordinate leaves no randomness: an empty facet
+    # slice, and the slab spread of the point mass at 0
+    assert facet_section_volume((2.0,), 0) == 0.0
+    assert facet_section_volume((2.0,), -1) == 0.0
+    assert slab_identity_check((2.0,), 0) == (1.0, 1.0)
+
+
+def test_facet_functions_coordinate_direction():
+    # a = e_j: the rest of the vector is all zero
+    a = (0.0, -3.0, 0.0)
+    assert facet_section_volume(a, 1) == 0.0
+    assert cone_volume(a, 1) == 0.0
+    assert slab_identity_check(a, 1) == (4.0, 4.0)
+    assert facet_section_volume(a, 0) == pytest.approx(2.0, rel=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,8 @@ from cube_sections.weights import (
     as_unit_vector,
     as_weight_vector,
     nonzero_weights,
-    reduce_weights,
 )
+from cube_sections.sections import facet_section_volume, parallel_section
 
 
 def test_as_weight_vector_copies():
@@ -51,26 +51,20 @@ def test_nonzero_weights_drops_relative_dust():
     assert kept.size == 2
 
 
+# deleting coordinate k from the weights happens inside the facet
+# functions: the slice of facet x_k = 1 is the parallel section of the
+# (n-1)-cube with the other coordinates of the unit vector, at offset u_k
+
+
 def test_reduce_weights_basic():
-    red = reduce_weights([1.0, 2.0, 3.0], 1)
-    assert red.omitted_index == 1
-    assert red.coords.tolist() == [1.0, 3.0]
-    assert not red.degenerate
+    u = as_unit_vector([1.0, 2.0, 3.0])
+    slice_ = facet_section_volume([1.0, 2.0, 3.0], 1)
+    assert slice_ > 0.0
+    assert slice_ == pytest.approx(parallel_section(u[[0, 2]], u[1]), rel=1e-14)
 
 
 def test_reduce_weights_negative_index():
-    red = reduce_weights([1.0, 2.0, 3.0], -1)
-    assert red.omitted_index == 2
-    assert red.coords.tolist() == [1.0, 2.0]
-
-
-def test_reduce_weights_degenerate():
-    assert reduce_weights([1.0], 0).degenerate
-    assert reduce_weights([0.0, 1.0, 0.0], 1).degenerate
-
-
-def test_reduce_weights_out_of_range():
-    with pytest.raises(InvalidInputError):
-        reduce_weights([1.0, 2.0], 2)
-    with pytest.raises(InvalidInputError):
-        reduce_weights([1.0, 2.0], -3)
+    u = as_unit_vector([1.0, 2.0, 3.0])
+    slice_ = facet_section_volume([1.0, 2.0, 3.0], -1)
+    assert slice_ == facet_section_volume([1.0, 2.0, 3.0], 2)
+    assert slice_ == pytest.approx(parallel_section(u[:2], u[2]), rel=1e-14)
