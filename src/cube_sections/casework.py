@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .density import cdf_at
 from .weights import InvalidInputError, as_weight_vector
@@ -477,6 +476,7 @@ def gaussian_heuristic_match(a1: float) -> float:
     """
     if not 0.0 < a1 < 1.0:
         raise InvalidInputError("need 0 < a1 < 1")
+    from scipy.optimize import brentq
 
     def h(x: float) -> float:
         s = a1 + x

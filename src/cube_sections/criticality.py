@@ -269,7 +269,11 @@ def interior_condition(a) -> bool:
     Fails exactly on directions whose section degenerates toward a face:
     coordinate vectors, two-coordinate diagonals, and their boundary cone.
     """
-    ab = np.abs(as_weight_vector(a))
+    return _interior(as_weight_vector(a))
+
+
+def _interior(w: np.ndarray) -> bool:
+    ab = np.abs(w)
     return bool(2.0 * np.max(ab) < np.sum(ab))
 
 
@@ -339,7 +343,7 @@ def criticality_residuals(a, tol: float = DEFAULT_CRITICALITY_TOL) -> Criticalit
         sigma=sigma,
         lagrange_multiplier=-sigma,
         mu=mu,
-        interior=interior_condition(u),
+        interior=_interior(u),
         reduction_note=note,
     )
     degenerate = _degenerate_verdict(u)

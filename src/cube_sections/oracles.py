@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .weights import InvalidInputError, as_weight_vector, nonzero_weights
 
@@ -119,6 +118,8 @@ def _tail_trig_integral(m: int, omega: float, is_sine: bool, T: float) -> float:
         if m == 1:
             raise InvalidInputError("divergent tail: constant term with m = 1")
         return T ** (1 - m) / (m - 1)
+    from scipy.special import sici
+
     si, ci = sici(omega * T)
     s = math.pi / 2.0 - float(si)  # int_T^inf sin(omega t)/t dt
     c = -float(ci)  # int_T^inf cos(omega t)/t dt

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .criticality import (
     _corner_rows,
@@ -443,9 +442,10 @@ def classify_critical_point(u, *, step: float = 1e-4) -> str:
     along the eigenvector fan.  Points attaining the extreme values pi
     and sqrt(2) pi are promoted to ``global-min`` and ``global-max``.
     """
-    u = as_weight_vector(u, allow_zero=True)
+    u = as_weight_vector(u)
     u = u / float(np.linalg.norm(u))
-    basis = null_space(u[None, :])
+    # orthonormal tangent basis: the right singular vectors past the first
+    basis = np.linalg.svd(u[None, :])[2][1:].T
     d = basis.shape[1]
 
     def value(t: np.ndarray) -> float:

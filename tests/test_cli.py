@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cube_sections
 from cube_sections.cli import main
 from cube_sections.piecewise import PiecewisePolynomial
 
@@ -251,3 +256,21 @@ def test_usage_errors_exit_2(capsys, argv):
     code = main(list(argv))
     capsys.readouterr()
     assert code == 2
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: other tests import scipy into this one
+    code = (
+        "import sys, cube_sections; "
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(cube_sections.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"

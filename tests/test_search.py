@@ -193,6 +193,36 @@ def test_classify_special_direction():
     assert classify_critical_point(SPECIAL) == "saddle"
 
 
+def test_classify_rejects_zero_vector():
+    with pytest.raises(InvalidInputError):
+        classify_critical_point([0.0, 0.0, 0.0])
+
+
+def _unit_directions(n, rng):
+    rows = [rng.standard_normal(n) for _ in range(40)]
+    for _ in range(20):
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.5] = 0.0
+        if np.any(v != 0.0):
+            rows.append(v)
+    for k in range(1, n + 1):
+        rows.append(np.where(np.arange(n) < k, 1.0, 0.0))
+        rows.append(np.where(np.arange(n) < k, rng.choice([-1.0, 1.0], n), 0.0))
+        rows.append(np.roll(np.eye(n)[0], k))
+    return [v / np.linalg.norm(v) for v in rows]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tangent_basis_matches_scipy_null_space(n):
+    # classify_critical_point takes its tangent basis from numpy's SVD of
+    # the unit row; it is scipy's null space of that row, bit for bit
+    null_space = pytest.importorskip("scipy.linalg").null_space
+    rng = np.random.default_rng(n)
+    for u in _unit_directions(n, rng):
+        basis = np.linalg.svd(u[None, :])[2][1:].T
+        np.testing.assert_array_equal(basis, null_space(u[None, :]))
+
+
 # -- scanning -------------------------------------------------------------------
 
 

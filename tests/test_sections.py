@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import cube_sections
 from cube_sections import sections, weights
-from cube_sections.criticality import cone_balance
+from cube_sections.criticality import cone_balance, criticality_residuals
 from cube_sections.sections import (
     central_volume,
     cone_volume,
@@ -229,6 +229,7 @@ def test_inputs_are_coerced_once(monkeypatch):
     assert coercions(normalized_section, np.arange(1.0, 4.0)) == 2
     assert coercions(section_report, np.arange(1.0, n + 1.0)) == n + 2
     assert coercions(cone_balance, np.arange(1.0, 5.0)) == 5
+    assert coercions(criticality_residuals, np.arange(1.0, 5.0)) == 1
 
 
 # -- facet index handling ----------------------------------------------
