@@ -7,7 +7,10 @@ variables (``n3_relation``); with two remaining weights it is a trapezoid
 whose three linear pieces split the balance into four sign regions, Cases
 A-D (``n4_case_residual``).  Chasing the cases over all coordinate
 substitutions reduces the 4-dimensional classification to two small
-polynomial systems, solved here by dense-multistart Newton.
+polynomial systems.  Their lex Groebner bases are triangular and stored
+here as integer polynomials in ``a1``, so both are solved exactly: a Sturm
+chain over ``Fraction`` isolates every root, and back-substitution gives
+each coordinate rounded once.
 
 All case polynomials are the pairwise balance multiplied by an explicit
 positive factor (recorded in ``_BALANCE_FACTOR``), which is what makes the
@@ -19,6 +22,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -55,6 +60,13 @@ INTERIOR_BOUND_TRIPLE = 1.0 / math.sqrt(12.0)
 def _require_unit(arr: np.ndarray):
     if abs(float(np.linalg.norm(arr)) - 1.0) > _UNIT_TOL:
         raise InvalidInputError("direction must have unit norm")
+
+
+def _sized_vector(a, size: int, *, allow_zero: bool = False) -> np.ndarray:
+    arr = as_weight_vector(a, allow_zero=allow_zero)
+    if arr.size != size:
+        raise InvalidInputError(f"expected a {size}-vector")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -107,9 +119,7 @@ def n3_relation(a, *, validate: bool = True) -> float:
     norm and the interior condition ``a3 < a1 + a2``; disable it to
     evaluate cyclic rearrangements.
     """
-    arr = as_weight_vector(a)
-    if arr.size != 3:
-        raise InvalidInputError("expected a 3-vector")
+    arr = _sized_vector(a, 3)
     a1, a2, a3 = (float(x) for x in arr)
     if validate:
         if not (0.0 < a1 <= a2 <= a3 < 1.0):
@@ -126,8 +136,7 @@ def n3_cyclic_sum(a) -> tuple[float, float]:
     Returns ``(sum, (a1+a2+a3)(1 - a1 a2 - a1 a3 - a2 a3))``; the two are
     identical as polynomials.
     """
-    arr = as_weight_vector(a)
-    a1, a2, a3 = (float(x) for x in arr)
+    a1, a2, a3 = (float(x) for x in _sized_vector(a, 3))
     total = (
         n3_relation((a1, a2, a3), validate=False)
         + n3_relation((a1, a3, a2), validate=False)
@@ -143,9 +152,7 @@ def n3_identity_check(a) -> float:
     Identically zero on the unit sphere in R^3; the identity that forces
     all-equal coordinates once the pairwise products sum to 1.
     """
-    arr = as_weight_vector(a)
-    if arr.size != 3:
-        raise InvalidInputError("expected a 3-vector")
+    arr = _sized_vector(a, 3)
     a1, a2, a3 = (float(x) for x in arr)
     squares = (a1 - a2) ** 2 + (a1 - a3) ** 2 + (a2 - a3) ** 2
     return squares - 2.0 * (1.0 - a1 * a2 - a1 * a3 - a2 * a3)
@@ -161,9 +168,7 @@ class Case(str, enum.Enum):
 
 
 def _validate_b(b) -> tuple[float, float, float, float]:
-    arr = as_weight_vector(b)
-    if arr.size != 4:
-        raise InvalidInputError("expected a 4-vector (b1, b2, b3, b4)")
+    arr = _sized_vector(b, 4)
     b1, b2, b3, b4 = (float(x) for x in arr)
     if not (0.0 < b1 <= b2 and 0.0 < b3 <= b4):
         raise InvalidInputError("need 0 < b1 <= b2 and 0 < b3 <= b4")
@@ -266,7 +271,7 @@ def n4_system_unequal_equations(x) -> np.ndarray:
     pairwise sum constraint ``(a1 + a3 + a4) a4 = 1``, and Case A at the
     substitution ``(a1, a3, a1, a4)``.
     """
-    a1, a3, a4 = (float(v) for v in np.asarray(x, dtype=float))
+    a1, a3, a4 = (float(v) for v in _sized_vector(x, 3, allow_zero=True))
     u = 2.0 * a1 + a3 - a4
     return np.array(
         [
@@ -277,46 +282,13 @@ def n4_system_unequal_equations(x) -> np.ndarray:
     )
 
 
-def _unequal_f(x: np.ndarray) -> np.ndarray:
-    a1, a3, a4 = x[:, 0], x[:, 1], x[:, 2]
-    u = 2.0 * a1 + a3 - a4
-    return np.stack(
-        [
-            (a1 + a3 + a4) * a4 - 1.0,
-            2.0 * a1**2 + a3**2 + a4**2 - 1.0,
-            u**2 * (1.0 + a1 * a3) - 8.0 * a1**2 * a3 * (a1 + a3),
-        ],
-        axis=1,
-    )
-
-
-def _unequal_j(x: np.ndarray) -> np.ndarray:
-    a1, a3, a4 = x[:, 0], x[:, 1], x[:, 2]
-    u = 2.0 * a1 + a3 - a4
-    j = np.empty((x.shape[0], 3, 3))
-    j[:, 0, 0] = a4
-    j[:, 0, 1] = a4
-    j[:, 0, 2] = a1 + a3 + 2.0 * a4
-    j[:, 1, 0] = 4.0 * a1
-    j[:, 1, 1] = 2.0 * a3
-    j[:, 1, 2] = 2.0 * a4
-    j[:, 2, 0] = 4.0 * u * (1.0 + a1 * a3) + u**2 * a3 - 8.0 * a3 * (
-        3.0 * a1**2 + 2.0 * a1 * a3
-    )
-    j[:, 2, 1] = 2.0 * u * (1.0 + a1 * a3) + u**2 * a1 - 8.0 * a1**2 * (
-        a1 + 2.0 * a3
-    )
-    j[:, 2, 2] = -2.0 * u * (1.0 + a1 * a3)
-    return j
-
-
 def n4_system_triple_equations(x) -> np.ndarray:
     """Residuals of the system pinning ``a1 = a2 = a3`` candidates.
 
     Unknowns ``(a1, a4)``; sphere radius plus Case D at the substitution
     ``(a1, a4, a1, a1)``.
     """
-    a1, a4 = (float(v) for v in np.asarray(x, dtype=float))
+    a1, a4 = (float(v) for v in _sized_vector(x, 2, allow_zero=True))
     return np.array(
         [
             3.0 * a1**2 + a4**2 - 1.0,
@@ -326,101 +298,128 @@ def n4_system_triple_equations(x) -> np.ndarray:
     )
 
 
-def _triple_f(x: np.ndarray) -> np.ndarray:
-    a1, a4 = x[:, 0], x[:, 1]
-    v = 3.0 * a1 - a4
-    return np.stack(
-        [
-            3.0 * a1**2 + a4**2 - 1.0,
-            8.0 * a1**3 * (1.0 - a4**2) - v**2 * (a1 + a4) * (1.0 - a1 * a4),
-        ],
-        axis=1,
-    )
+# The systems' lex Groebner bases (a4 > a3 > a1), computed once with sympy
+# and recomputed by tests/test_casework.py, in triangular form: a squarefree
+# eliminant in a1, and each coordinate as (numerator in a1, integer
+# denominator), from a basis element linear in that coordinate whose leading
+# coefficient vanishes only at a1 = 0.  So every nonzero root a1 extends to
+# exactly one solution.  Polynomials are integer coefficients, highest
+# degree first.  Unequal pair: the basis eliminant is a1^2 (6 a1^2 - 1)
+# (10 a1^2 - 1)(170 a1^8 - 737 a1^6 + 1077 a1^4 - 419 a1^2 + 50), stored
+# without a1^2, whose root lies on a coordinate hyperplane.
+_UNEQUAL_ELIMINANT = (10200, 0, -46940, 0, 76582, 0, -43109, 0, 10781, 0, -1219, 0, 50)
+_UNEQUAL_COORDINATES = (
+    ((1, 0), 1),
+    ((-5351224867800, 0, 24411311368660, 0, -39106055553198, 0, 20650821555591,
+      0, -4283963276119, 0, 303258784261, 0), 22326117770),
+    ((171389297439600, 0, -784489786335520, 0, 1267668023227216, 0,
+      -694282787618316, 0, 166253177546641, 0, -17961835744579, 0, 842797999473,
+      0), 66978353310),
+)
+# Triple: (2 a1 - 1)(2 a1 + 1)(576 a1^8 - 504 a1^6 + 171 a1^4 - 25 a1^2 + 1)
+_TRIPLE_ELIMINANT = (2304, 0, -2592, 0, 1188, 0, -271, 0, 29, 0, -1)
+_TRIPLE_COORDINATES = (
+    ((1, 0), 1),
+    ((-66816, 0, 49824, 0, -14004, 0, 1127, 0, 115, 0), 39),
+)
 
 
-def _triple_j(x: np.ndarray) -> np.ndarray:
-    a1, a4 = x[:, 0], x[:, 1]
-    v = 3.0 * a1 - a4
-    p = a1 + a4
-    q = 1.0 - a1 * a4
-    j = np.empty((x.shape[0], 2, 2))
-    j[:, 0, 0] = 6.0 * a1
-    j[:, 0, 1] = 2.0 * a4
-    j[:, 1, 0] = 24.0 * a1**2 * (1.0 - a4**2) - (
-        6.0 * v * p * q + v**2 * q - v**2 * p * a4
-    )
-    j[:, 1, 1] = -16.0 * a1**3 * a4 - (
-        -2.0 * v * p * q + v**2 * q - v**2 * p * a1
-    )
-    return j
+def _horner(poly, x):
+    value = 0
+    for c in poly:
+        value = value * x + c
+    return value
 
 
-def _newton_multistart(fun, jac, seeds, tol, max_iter=80):
-    """Undamped Newton from every seed at once; divergent seeds become NaN.
+def _sturm_chain(poly) -> list[list[Fraction]]:
+    """``p``, ``p'`` and the negated remainders, down to a constant.
 
-    A seed stops as soon as ``max|f| <= tol``, the final filter's own test,
-    so stopping early changes no verdict.
+    ``p`` must be squarefree, so the last remainder is a nonzero constant.
     """
-    x = np.array(seeds, dtype=float)
-    active = np.ones(len(x), dtype=bool)
-    for _ in range(max_iter):
-        with np.errstate(all="ignore"):
-            blown = ~np.all(np.isfinite(x), axis=1) | (
-                np.max(np.abs(x), axis=1) > 1e3
-            )
-            x[blown] = np.nan
-            active &= ~blown
-            idx = np.flatnonzero(active)
-            f = fun(x[idx])
-            settled = np.max(np.abs(f), axis=1) <= tol
-            active[idx[settled]] = False
-            idx, f = idx[~settled], f[~settled]
-            if not idx.size:
-                break
-            j = jac(x[idx])
-            det = np.linalg.det(j)
-            ok = np.abs(det) > 1e-30
-            step = np.full_like(x[idx], np.nan)
-            if np.any(ok):
-                step[ok] = np.linalg.solve(j[ok], f[ok][..., None])[..., 0]
-            x[idx] -= step
-    with np.errstate(all="ignore"):
-        good = np.all(np.isfinite(x), axis=1)
-        good[good] &= np.max(np.abs(fun(x[good])), axis=1) <= tol
+    degree = len(poly) - 1
+    chain = [
+        [Fraction(c) for c in poly],
+        [Fraction(c * (degree - i)) for i, c in enumerate(poly[:-1])],
+    ]
+    while len(chain[-1]) > 1:
+        rem, den = chain[-2], chain[-1]
+        while len(rem) >= len(den):
+            q = rem[0] / den[0]
+            rem = [r - q * d for r, d in zip_longest(rem, den, fillvalue=0)][1:]
+        while not rem[0]:
+            rem = rem[1:]
+        chain.append([-r for r in rem])
+    return chain
+
+
+def _sign_changes(chain, x: Fraction) -> int:
+    signs = [v > 0 for v in (_horner(p, x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Intervals ``(l, h]``, one around each root of ``chain[0]`` in ``(lo, hi]``."""
+    count = _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    if count <= 1:
+        return [(lo, hi)] * count
+    mid = (lo + hi) / 2
+    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
+
+
+def _bisect(poly, lo: Fraction, hi: Fraction, key) -> tuple[Fraction, Fraction]:
+    """Bisect ``(lo, hi]`` until ``key`` agrees at both ends.
+
+    The interval holds one simple root of ``poly``; bisection follows the
+    sign of ``poly`` and hits a dyadic root exactly.
+    """
+    if not _horner(poly, hi):
+        return hi, hi
+    positive = _horner(poly, hi) > 0
+    while key(lo) != key(hi):
+        mid = (lo + hi) / 2
+        value = _horner(poly, mid)
+        if not value:
+            return mid, mid
+        if (value > 0) == positive:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _solve_triangular(eliminant, coordinates) -> list[tuple[float, ...]]:
+    """The interior solutions of a triangular system, in increasing ``a1``.
+
+    The roots of the squarefree ``eliminant`` in ``(0, 1]``, where the unit
+    sphere keeps ``a1``, are isolated by its Sturm chain.  Each is bisected
+    until ``a1`` is rounded, which settles whether the solution is interior,
+    and then until both ends of its interval give the same floats in every
+    coordinate: each coordinate is evaluated exactly and rounded once.
+    """
+
+    def rounded(x: Fraction) -> tuple[float, ...]:
+        return tuple(float(_horner(num, x) / den) for num, den in coordinates)
+
+    solutions = []
+    for lo, hi in _isolate(_sturm_chain(eliminant), Fraction(0), Fraction(1)):
+        lo, hi = _bisect(eliminant, lo, hi, float)
         # strictly interior roots only; the systems also vanish on coordinate
-        # hyperplanes, where they no longer encode the balance
-        good &= np.all(np.nan_to_num(x, nan=-1.0) > 1e-6, axis=1)
-    return x[good]
+        # hyperplanes, where they no longer encode the balance (the
+        # unequal-pair root at a1 = 1/sqrt(6) has a3 = 0)
+        if min(rounded(hi)) > 1e-6:
+            lo, hi = _bisect(eliminant, lo, hi, rounded)
+            solutions.append(rounded(hi))
+    return solutions
 
 
-def _dedup(points: np.ndarray, tol: float) -> list[np.ndarray]:
-    """The first point of each cluster, in sorted order.
-
-    A point is kept when no earlier kept point lies within ``tol`` in the
-    max norm.  The first point left is always kept, so one array pass per
-    kept root drops everything near it.
-    """
-    roots: list[np.ndarray] = []
-    while len(points):
-        roots.append(points[0])
-        rest = points[1:]
-        points = rest[~(np.max(np.abs(rest - points[0]), axis=1) <= tol)]
-    roots.sort(key=lambda r: tuple(r))
-    return roots
-
-
-def solve_n4_system_unequal(
-    grid_points: int = 20, tol: float = 1e-13, dedup_tol: float = 1e-9
-) -> list[np.ndarray]:
+def solve_n4_system_unequal() -> list[np.ndarray]:
     """All positive roots ``(a1, a3, a4)`` of the unequal-pair system.
 
-    Dense multistart Newton from a ``grid_points^3`` grid in ``(0, 1)^3``;
-    exactly one positive root exists, ``(1, 2, 2)/sqrt(10)``.
+    Solved exactly from the stored eliminant, each coordinate rounded
+    once; exactly one positive root exists, ``(1, 2, 2)/sqrt(10)``.
     """
-    g = np.linspace(0.05, 0.95, grid_points)
-    seeds = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    found = _newton_multistart(_unequal_f, _unequal_j, seeds, tol)
-    return _dedup(found, dedup_tol)
+    roots = _solve_triangular(_UNEQUAL_ELIMINANT, _UNEQUAL_COORDINATES)
+    return [np.array(root) for root in roots]
 
 
 @dataclass(frozen=True)
@@ -435,20 +434,16 @@ class TripleRoot:
         return {"a1": self.a1, "a4": self.a4, "admissible": self.admissible}
 
 
-def solve_n4_system_triple(
-    grid_points: int = 20, tol: float = 1e-13, dedup_tol: float = 1e-9
-) -> list[TripleRoot]:
+def solve_n4_system_triple() -> list[TripleRoot]:
     """All positive roots ``(a1, a4)`` of the triple-equal system.
 
-    Each root is flagged against the interior bound ``a1 > 1/sqrt(12)``;
-    inadmissible roots cannot come from critical directions.
+    Solved exactly like :func:`solve_n4_system_unequal`.  Each root is
+    flagged against the interior bound ``a1 > 1/sqrt(12)``; inadmissible
+    roots cannot come from critical directions.
     """
-    g = np.linspace(0.05, 0.95, grid_points)
-    seeds = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    found = _newton_multistart(_triple_f, _triple_j, seeds, tol)
     return [
-        TripleRoot(a1=float(r[0]), a4=float(r[1]), admissible=bool(r[0] > INTERIOR_BOUND_TRIPLE))
-        for r in _dedup(found, dedup_tol)
+        TripleRoot(a1=a1, a4=a4, admissible=a1 > INTERIOR_BOUND_TRIPLE)
+        for a1, a4 in _solve_triangular(_TRIPLE_ELIMINANT, _TRIPLE_COORDINATES)
     ]
 
 

@@ -1,13 +1,22 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cube_sections.casework import (
     INTERIOR_BOUND_TRIPLE,
+    _TRIPLE_COORDINATES,
+    _TRIPLE_ELIMINANT,
+    _UNEQUAL_COORDINATES,
+    _UNEQUAL_ELIMINANT,
     Case,
-    _dedup,
+    _horner,
+    _isolate,
+    _solve_triangular,
+    _sturm_chain,
     gaussian_heuristic,
     gaussian_heuristic_match,
     n3_cyclic_sum,
@@ -79,6 +88,9 @@ def test_n3_relation_validation():
         n3_relation([0.2, 0.3, 0.4])  # not unit
     with pytest.raises(InvalidInputError):
         n3_relation(unit([1.0, 1.0, 2.0]))  # boundary of interior cone
+    for wrong_length in ([0.5, 0.5], [0.5] * 4):
+        with pytest.raises(InvalidInputError):
+            n3_cyclic_sum(wrong_length)
     assert n3_relation((0.9, 0.2, 0.3), validate=False) == pytest.approx(
         0.9 + 0.2 - 0.3 - 0.9 * 0.04 - 0.81 * 0.2 - 0.9 * 0.2 * 0.3
     )
@@ -167,11 +179,31 @@ def test_case_residuals_vanish_at_special_direction():
 # -- polynomial systems ----------------------------------------------------
 
 
+# the two systems in any exact or multiprecision arithmetic
+def unequal_system(a1, a3, a4):
+    u = 2 * a1 + a3 - a4
+    return [
+        (a1 + a3 + a4) * a4 - 1,
+        2 * a1**2 + a3**2 + a4**2 - 1,
+        u**2 * (1 + a1 * a3) - 8 * a1**2 * a3 * (a1 + a3),
+    ]
+
+
+def triple_system(a1, a4):
+    return [
+        3 * a1**2 + a4**2 - 1,
+        8 * a1**3 * (1 - a4**2) - (3 * a1 - a4) ** 2 * (a1 + a4) * (1 - a1 * a4),
+    ]
+
+
 def test_unequal_system_at_known_root():
     root = np.array([1.0, 2.0, 2.0]) / SQRT10
     np.testing.assert_allclose(
         n4_system_unequal_equations(root), 0.0, atol=1e-15
     )
+    for bad in ([0.5, 0.5], [0.5] * 4, [math.nan, 0.5, 0.5]):
+        with pytest.raises(InvalidInputError):
+            n4_system_unequal_equations(bad)
 
 
 def test_solve_unequal_system():
@@ -180,43 +212,21 @@ def test_solve_unequal_system():
     np.testing.assert_allclose(
         roots[0], np.array([1.0, 2.0, 2.0]) / SQRT10, atol=1e-12
     )
+    with mpmath.workdps(50):
+        exact = [c / mpmath.sqrt(10) for c in (1, 2, 2)]
+        assert all(abs(x - e) <= math.ulp(x) for x, e in zip(roots[0], exact))
     # and the root really is the non-diagonal critical direction
     a = np.array([roots[0][0], roots[0][0], roots[0][1], roots[0][2]])
     assert criticality_residuals(a).verdict == "critical"
-
-
-def _dedup_loop(points, tol):
-    roots = []
-    for p in points:
-        if not any(np.max(np.abs(p - r)) <= tol for r in roots):
-            roots.append(p)
-    roots.sort(key=lambda r: tuple(r))
-    return roots
-
-
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 60),
-    st.integers(1, 3),
-    st.sampled_from([1e-9, 0.05, 0.3]),
-)
-@settings(deadline=None, max_examples=60)
-def test_dedup_matches_the_greedy_loop(seed, count, dim, tol):
-    # clustered points, so kept roots shadow later points of other clusters
-    rng = np.random.default_rng(seed)
-    centres = rng.uniform(0.0, 1.0, (4, dim))
-    points = centres[rng.integers(0, 4, count)] + rng.uniform(-0.2, 0.2, (count, dim))
-    points[rng.random(count) < 0.1] = np.nan
-    got, want = _dedup(points, tol), _dedup_loop(points, tol)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
 
 
 def test_triple_system_at_known_root():
     np.testing.assert_allclose(
         n4_system_triple_equations((0.5, 0.5)), 0.0, atol=1e-15
     )
+    for bad in ([0.5], [0.5] * 3, [math.nan, 0.5]):
+        with pytest.raises(InvalidInputError):
+            n4_system_triple_equations(bad)
 
 
 def test_solve_triple_system():
@@ -237,6 +247,99 @@ def test_solve_triple_system():
         )
     payload = high.to_dict()
     assert payload == {"a1": high.a1, "a4": high.a4, "admissible": True}
+    with mpmath.workdps(50):
+        exact_low = mpmath.findroot(triple_system, (low.a1, low.a4))
+        for root, exact in ((low, exact_low), (high, (0.5, 0.5))):
+            for x, e in zip((root.a1, root.a4), exact):
+                assert abs(x - e) <= math.ulp(x)
+
+
+@pytest.mark.parametrize(
+    "system, names, equations, eliminant, coordinates",
+    [
+        (
+            unequal_system,
+            "a1 a3 a4",
+            n4_system_unequal_equations,
+            _UNEQUAL_ELIMINANT,
+            _UNEQUAL_COORDINATES,
+        ),
+        (
+            triple_system,
+            "a1 a4",
+            n4_system_triple_equations,
+            _TRIPLE_ELIMINANT,
+            _TRIPLE_COORDINATES,
+        ),
+    ],
+)
+def test_stored_bases_are_the_sympy_lex_bases(
+    system, names, equations, eliminant, coordinates
+):
+    import sympy as sp
+
+    unknowns = sp.symbols(names)
+    # the coded equations are the system
+    rng = np.random.default_rng(7)
+    for x in rng.uniform(-1.0, 1.0, (20, len(unknowns))):
+        exact = [float(v) for v in system(*map(Fraction, x))]
+        np.testing.assert_allclose(equations(x), exact, rtol=1e-13, atol=1e-14)
+
+    # the stored eliminant is squarefree and, up to a constant and a power
+    # of a1, the univariate element of the lex basis (a4 > a3 > a1)
+    a1 = unknowns[0]
+    basis = sp.groebner(system(*unknowns), *reversed(unknowns), order="lex")
+    stored = sp.Poly(eliminant, a1)
+    assert sp.gcd(stored, stored.diff(a1)).is_ground
+    (univariate,) = [g for g in basis.exprs if g.free_symbols == {a1}]
+    quotient, remainder = sp.div(sp.Poly(univariate, a1), stored)
+    assert remainder.is_zero and len(quotient.terms()) == 1
+
+    # each other coordinate is pinned by a basis element linear in it whose
+    # leading coefficient vanishes only at a1 = 0 ...
+    for v in unknowns[1:]:
+        linear = [sp.Poly(g, v) for g in basis.exprs if sp.Poly(g, v).degree() == 1]
+        assert any(
+            p.LC().free_symbols <= {a1} and len(sp.Poly(p.LC(), a1).terms()) == 1
+            for p in linear
+        )
+    # ... and the stored back-substitution solves the whole basis at every
+    # root of the stored eliminant
+    point = {
+        v: sp.Poly(num, a1).as_expr() / den
+        for v, (num, den) in zip(unknowns, coordinates)
+    }
+    for g in basis.exprs:
+        assert sp.Poly(sp.expand(g.subs(point)), a1).rem(stored).is_zero
+
+
+dyadic_or_rational = st.one_of(
+    st.integers(1, 63).map(lambda k: Fraction(k, 64)),
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+        lambda r: 0 < r < 1
+    ),
+)
+
+
+@given(st.lists(dyadic_or_rational, min_size=1, max_size=6, unique=True))
+@settings(deadline=None, max_examples=60)
+def test_exact_isolation_rounds_every_root_correctly(roots):
+    poly = [1]
+    for r in roots:  # times (q x - p)
+        q, p = r.denominator, r.numerator
+        poly = [q * c - p * d for c, d in zip(poly + [0], [0] + poly)]
+    got = _solve_triangular(poly, [((1, 0), 1)])
+    assert got == [(float(r),) for r in sorted(roots)]
+
+
+def test_stated_triple_root_is_provably_not_a_root():
+    # criterion 06 quotes a1 = 0.2142; the triple eliminant has no root near it
+    chain = _sturm_chain(_TRIPLE_ELIMINANT)
+    lo, hi = Fraction("0.2137"), Fraction("0.2147")
+    assert _isolate(chain, lo, hi) == []
+    assert _horner(_TRIPLE_ELIMINANT, lo) != 0
+    # its positive roots: the rejected one, 1/2, and 0.5592 where a4 < 0
+    assert len(_isolate(chain, Fraction(0), Fraction(1))) == 3
 
 
 def test_interior_bound_value():

@@ -259,10 +259,14 @@ def test_usage_errors_exit_2(capsys, argv):
 
 
 def test_import_loads_no_scipy():
-    # a fresh interpreter: other tests import scipy into this one
+    # a fresh interpreter: other tests import scipy and sympy into this one;
+    # the n=4 systems are solved from stored coefficients, without sympy
     code = (
         "import sys, cube_sections; "
-        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+        "cube_sections.solve_n4_system_unequal(); "
+        "cube_sections.solve_n4_system_triple(); "
+        "print(sorted(k for k in sys.modules "
+        "if k.split('.')[0] in ('scipy', 'sympy')))"
     )
     src = str(Path(cube_sections.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
