@@ -13,13 +13,18 @@ example
     python scripts/report_digest.py --src ../other/src
     python scripts/report_digest.py --src src
 
-and compare the lines: equal digests mean bitwise equal reports.
+and compare the lines: equal digests mean bitwise equal reports.  With
+``--errors`` each set's line also gives the largest and the median relative
+error of the reports' ``volume`` against ``section_volume`` of
+``benchmarks/reference.py``, an exact integer sum that shares no code with
+the package; at n = 18 it takes about a second per direction.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -53,22 +58,37 @@ def main():
         default=Path(__file__).resolve().parents[1] / "src",
         help="directory holding the cube_sections package (default: this checkout's src)",
     )
+    parser.add_argument(
+        "--errors",
+        action="store_true",
+        help="also print each set's max and median relative volume error against the exact reference",
+    )
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from cube_sections import cli, sections
 
+    if args.errors:
+        # read the reference module without writing bytecode next to it
+        sys.dont_write_bytecode = True
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import reference
+
     for name, directions in direction_sets():
         start = time.perf_counter()
         digest = hashlib.sha256()
-        for a in directions:
-            report = sections.section_report(a)
+        reports = [sections.section_report(a) for a in directions]
+        for report in reports:
             for values in (report.volume, report.facet_section_volumes, report.cone_volumes, report.cone_sum):
                 digest.update(np.asarray(values, dtype=float).tobytes())
         elapsed = time.perf_counter() - start
-        print(
-            f"{name} reports={len(directions)} sha256={digest.hexdigest()} seconds={elapsed:.2f}",
-            flush=True,
-        )
+        line = f"{name} reports={len(directions)} sha256={digest.hexdigest()} seconds={elapsed:.2f}"
+        if args.errors:
+            errors = []
+            for report in reports:
+                exact = reference.section_volume(report.direction)
+                errors.append(abs(report.volume - exact) / exact)
+            line += f" max_rel_err={max(errors):.3g} median_rel_err={statistics.median(errors):.3g}"
+        print(line, flush=True)
 
     start = time.perf_counter()
     csv = io.StringIO()

@@ -127,6 +127,11 @@ def n3_relation(a, *, validate: bool = True) -> float:
         _require_unit(arr)
         if not a3 < a1 + a2:
             raise InvalidInputError("interior condition a3 < a1 + a2 violated")
+    return _n3_cubic(a1, a2, a3)
+
+
+def _n3_cubic(a1: float, a2: float, a3: float) -> float:
+    """The cubic of :func:`n3_relation` at validated floats."""
     return a1 + a2 - a3 - a1 * a2**2 - a1**2 * a2 - a1 * a2 * a3
 
 
@@ -137,11 +142,7 @@ def n3_cyclic_sum(a) -> tuple[float, float]:
     identical as polynomials.
     """
     a1, a2, a3 = (float(x) for x in _sized_vector(a, 3))
-    total = (
-        n3_relation((a1, a2, a3), validate=False)
-        + n3_relation((a1, a3, a2), validate=False)
-        + n3_relation((a2, a3, a1), validate=False)
-    )
+    total = _n3_cubic(a1, a2, a3) + _n3_cubic(a1, a3, a2) + _n3_cubic(a2, a3, a1)
     closed = (a1 + a2 + a3) * (1.0 - a1 * a2 - a1 * a3 - a2 * a3)
     return total, closed
 
@@ -227,8 +228,13 @@ def n4_case_residual(b, case: Case, *, factored: bool = False) -> float:
         conditions (small negative slack 1e-12 is tolerated for boundary
         evaluations).
     """
-    b1, b2, b3, b4 = _validate_b(b)
-    case = Case(case)
+    return _case_residual(*_validate_b(b), Case(case), factored)
+
+
+def _case_residual(
+    b1: float, b2: float, b3: float, b4: float, case: Case, factored: bool
+) -> float:
+    """:func:`n4_case_residual` at validated floats."""
     s1, s2 = _case_signs(b1, b2, b3, b4)
     w1, w2 = _CASE_SIGNS[case]
     if w1 * s1 < -1e-12 or w2 * s2 < -1e-12:
@@ -260,7 +266,7 @@ def n4_case_balance(b, case: Case) -> float:
     """
     b1, b2, b3, b4 = _validate_b(b)
     case = Case(case)
-    value = n4_case_residual(b, case, factored=True)
+    value = _case_residual(b1, b2, b3, b4, case, True)
     return value / _BALANCE_FACTOR[case](b1, b2, b3, b4)
 
 

@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import MAX_CLOSED_FORM_WEIGHTS, _sign_patterns, density_at
-from .sections import _cone_over, _facet_slice
+from .density import MAX_CLOSED_FORM_WEIGHTS, _corner_shifts, _sign_patterns, density_at
+from .sections import _cone_over, _facet_terms
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
@@ -146,9 +146,8 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
 
     signs, parity = _sign_patterns(m)
     par = parity if m % 2 == 0 else -parity  # (-1)^(#negative signs)
-    # accumulate runs in index order by definition, so unlike reductions
-    # these sums cannot change order with the shape
-    s = np.cumsum(w[:, None, :] * signs, axis=2)[:, :, -1]
+    # doubling adds the weights in index order, whatever the batch
+    s = _corner_shifts(w)[0]
     # P s_+^(m-3), P s_+^(m-2), P s_+^(m-1) by repeated products from the
     # step s_+^0 = [s >= 0]; negative powers vanish
     pos = np.maximum(s, 0.0)
@@ -384,7 +383,7 @@ def cone_balance(a) -> ConeBalance:
     if np.any(1.0 - u**2 == 0.0):
         raise InvalidInputError("cone balance undefined at coordinate directions")
     ratios = np.array(
-        [_cone_over(u, k, _facet_slice(u, k)) / (1.0 - u[k] ** 2) for k in range(u.size)]
+        [_cone_over(u, k, _facet_terms(u, k)[0]) / (1.0 - u[k] ** 2) for k in range(u.size)]
     )
     mu_hat = float(np.mean(ratios))
     spread = float((np.max(ratios) - np.min(ratios)) / mu_hat)

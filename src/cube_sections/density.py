@@ -28,9 +28,14 @@ is left.  Larger tables are summed in floating point by an error-free
 pairwise transformation (``_compensated_sum``), whole-array numpy work
 that agrees with ``math.fsum`` to an ulp; the float terms themselves still
 carry rounding errors, which cancel when some weights are small against the
-others.  The slab spread ``F(x) - F(-x)`` is one corner sum of its own
-(``_cdf_spread``), so it does not cancel as the difference of two CDFs
-near 1/2 would.
+others.  The float corner sums are built by doubling (``_corner_shifts``),
+one ``2^m`` array per call and no cached table, and the terms are formed in
+place in it.
+
+The facet quantities of :mod:`cube_sections.sections` come from one table
+per facet (``_density_and_spread``): the density at ``x`` and the slab
+spread ``F(x) - F(-x)``.  The spread is one corner sum of its own, so it
+does not cancel as the difference of two CDFs near 1/2 would.
 """
 
 from __future__ import annotations
@@ -64,6 +69,13 @@ MAX_CLOSED_FORM_WEIGHTS = 20
 # float sum (2-core VM), and larger tables keep the latter
 EXACT_CORNER_WEIGHTS = 8
 
+# _compensated_sum halves its array while it has at least this many
+# elements and leaves the rest to math.fsum: fsum alone takes 113 us at 2051
+# standard-normal terms, halving down to 1024 takes 70-84 us, and cut-offs
+# from 512 to 2048 time within 10% of each other at 515 to 131075 terms
+# (timeit, best of 5 x 50 calls, 2-core VM)
+_FSUM_TERMS = 1024
+
 _MERGE_REL_TOL = 1e-13
 
 
@@ -77,20 +89,43 @@ def _sign_patterns(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _corner_shifts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    signs, parity = _sign_patterns(w.size)
-    return signs @ w, parity
+    """Corner sums ``s_eps = eps . w`` and parities ``(-1)^(#positive)``.
+
+    ``w`` is one weight vector or a ``(B, m)`` batch, one per row; the
+    ``2^m`` sums run along the last axis in the index order of
+    :func:`_sign_patterns`.  They are built by doubling, ``s + w_k`` above
+    ``s - w_k``, so each is the sequential sum
+    ``((eps_0 w_0 + eps_1 w_1) + eps_2 w_2) + ...`` and the complement
+    pattern gives its exact negative.  The parities are ``int8``, and
+    nothing is cached.
+    """
+    m = w.shape[-1]
+    shifts = np.zeros((*w.shape[:-1], 1 << m))
+    parity = np.ones(1 << m, dtype=np.int8)
+    h = 1
+    for k in range(m):
+        wk = w[..., k : k + 1]
+        np.add(shifts[..., :h], wk, out=shifts[..., h : 2 * h])
+        shifts[..., :h] -= wk
+        np.negative(parity[:h], out=parity[h : 2 * h])
+        h <<= 1
+    return shifts, parity
 
 
 def _prepared(a) -> np.ndarray:
     w = nonzero_weights(a)
     if w.size == 0:
         raise InvalidInputError("all-zero weight vector has no density")
-    if w.size > MAX_CLOSED_FORM_WEIGHTS:
+    _check_weight_count(w.size)
+    return w
+
+
+def _check_weight_count(m: int) -> None:
+    if m > MAX_CLOSED_FORM_WEIGHTS:
         raise InvalidInputError(
             f"more than {MAX_CLOSED_FORM_WEIGHTS} nonzero weights: the "
             "truncated-power expansion would lose all precision"
         )
-    return w
 
 
 def _merged_breakpoints(values: np.ndarray, span: float) -> np.ndarray:
@@ -305,10 +340,12 @@ def _compensated_sum(terms: np.ndarray) -> float:
     the sum of their magnitudes (``numpy.sum`` and the sum over levels are
     at most 47 additions deep).  Where that could reach a quarter ulp of the
     result, the terms cancel beyond twice the working precision, and they
-    are summed, correctly rounded, by ``math.fsum`` instead.
+    are summed, correctly rounded, by ``math.fsum`` instead.  Halving stops
+    below ``_FSUM_TERMS`` elements, which go into that last ``math.fsum``;
+    a shorter array is summed by it alone.
     """
     x, carried, err, mag = terms, [], 0.0, 0.0
-    while x.size > 1:
+    while x.size >= _FSUM_TERMS:
         if x.size % 2:
             carried.append(x[-1])
             x = x[:-1]
@@ -316,12 +353,16 @@ def _compensated_sum(terms: np.ndarray) -> float:
         a, b = x[:h], x[h:]
         x = a + b
         bb = x - a
-        e = (a - (x - bb)) + (b - bb)
+        e = x - bb
+        # e = (a - (x - bb)) + (b - bb), the exact error of a + b
+        np.subtract(a, e, out=e)
+        np.subtract(b, bb, out=bb)
+        e += bb
         err += np.sum(e)
         mag += np.sum(np.abs(e, out=e))
     total = math.fsum([*x.tolist(), *carried, err])
     if mag * 2.0**-44 > np.spacing(abs(total)):
-        return math.fsum(terms)
+        return math.fsum(terms.tolist())
     return total
 
 
@@ -342,37 +383,62 @@ def _truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
         # off the support: 0, or 1 right of it for the CDF (p = m)
         return float(p == w.size and r > 0.0)
     shifts, parity = _corner_shifts(w)
-    d = r - shifts
-    live = d > 0.0
-    terms = parity[live] * d[live] ** p
+    d = np.subtract(r, shifts, out=shifts)
     scale = 1.0 / (2.0**w.size * float(np.prod(w)) * math.factorial(p))
-    return scale * _compensated_sum(terms)
+    return scale * _compensated_sum(_positive_powers(d, parity, p))
 
 
-def _cdf_spread(w: np.ndarray, x: float) -> float:
-    """``F(x) - F(-x)`` for the CDF ``F`` of ``sum w_i X_i`` and ``x >= 0``.
+def _positive_powers(d: np.ndarray, parity: np.ndarray, p: int) -> np.ndarray:
+    """The terms ``P d^p`` over the corners with ``d > 0``, in table order."""
+    live = d > 0.0
+    terms = d[live]
+    np.power(terms, p, out=terms)
+    terms *= parity[live]
+    return terms
+
+
+def _density_and_spread(w: np.ndarray, x: float) -> tuple[float, float]:
+    """Density ``f(x)`` and spread ``F(x) - F(-x)`` of ``sum w_i X_i``, ``x >= 0``.
 
     ``w`` holds live weights, as :func:`~cube_sections.weights.nonzero_weights`
-    returns them, and is not checked again.  One corner sum,
-    ``sum_eps (-1)^{#pos} ((x - s_eps)_+^m - (-x - s_eps)_+^m) / (2^m m! prod w)``,
-    in place of two CDFs near 1/2 whose difference cancels for small ``x``.
-    Up to ``EXACT_CORNER_WEIGHTS`` weights it is exact and rounded once;
-    beyond that both halves' terms go through one :func:`_compensated_sum`.
+    returns them, and is only checked for size.  Both numbers come from one
+    table of corner sums: with ``d = x - s_eps`` and ``P = (-1)^{#pos}``,
+
+        f(x) = sum P d_+^(m-1) / (2^m (m-1)! prod w),
+        F(x) - F(-x) = sum P sgn(d)^(m+1) |d|^m / (2^m m! prod w),
+
+    where a negative ``d`` stands for the lower term ``-P' (-x - s')_+^m``
+    of the complement pattern, whose corner sum is exactly ``s' = -s_eps``
+    and whose parity is ``P' = (-1)^m P``.  The spread is one sum, so it
+    does not cancel as the difference of two CDFs near 1/2 would.  Up to
+    ``EXACT_CORNER_WEIGHTS`` weights both are exact and rounded once;
+    beyond that each is one :func:`_compensated_sum`.  The density is
+    bitwise :func:`density_at`'s for two or more weights.
     """
     m = w.size
+    _check_weight_count(m)
     x = float(x)
     if m <= EXACT_CORNER_WEIGHTS:
-        _, weights, even, odd, (hi, lo) = _dyadic_corners(w.tolist(), [x, -x])
-        total = _integer_power_sum(even, odd, hi, m) - _integer_power_sum(even, odd, lo, m)
-        return total / (2**m * math.prod(weights) * math.factorial(m))
+        q, weights, even, odd, (hi, lo) = _dyadic_corners(w.tolist(), [x, -x])
+        den = 2**m * math.prod(weights) * math.factorial(m - 1)
+        density = _integer_power_sum(even, odd, hi, m - 1) * q / den
+        spread = _integer_power_sum(even, odd, hi, m) - _integer_power_sum(even, odd, lo, m)
+        return density, spread / (den * m)
     if x >= float(np.sum(w)):
-        return 1.0
+        return 0.0, 1.0
     shifts, parity = _corner_shifts(w)
-    hi, lo = x - shifts, -x - shifts
-    up, down = hi > 0.0, lo > 0.0
-    terms = np.concatenate([parity[up] * hi[up] ** m, -parity[down] * lo[down] ** m])
-    scale = 1.0 / (2.0**m * float(np.prod(w)) * math.factorial(m))
-    return scale * _compensated_sum(terms)
+    d = np.subtract(x, shifts, out=shifts)
+    prod = float(np.prod(w))
+    scale = 1.0 / (2.0**m * prod * math.factorial(m - 1))
+    density = scale * _compensated_sum(_positive_powers(d, parity, m - 1))
+    # P sgn(d)^(m+1) |d|^m over the whole table, in place; the powers of
+    # |d| are the lower terms' own powers bit for bit
+    if m % 2 == 0:
+        np.negative(parity, out=parity, where=d < 0.0)
+    np.abs(d, out=d)
+    np.power(d, m, out=d)
+    d *= parity
+    return density, _compensated_sum(d) / (2.0**m * prod * math.factorial(m))
 
 
 def density_at(a, r: float) -> float:

@@ -15,7 +15,10 @@ still a face, not the empty set).
 Each public function coerces its input once; the private helpers it calls
 take the validated array (``_section_at`` any nonzero vector, the facet
 helpers the unit vector and an index in range) and check nothing again.
-The exact kernel ``density_at`` keeps its own check.
+Volumes come from the kernel ``density_at``, which keeps its own check.
+Everything per facet, the slice, the cone over it and the slab spread of
+the slab identity, comes from one ``_density_and_spread`` call on the
+weights without coordinate ``k``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _cdf_spread, density_at
+from .density import _density_and_spread, density_at
 from .weights import (
     InvalidInputError,
     _nonzero_weights,
@@ -123,24 +126,29 @@ def facet_section_volume(a, k: int) -> float:
     Degenerate case ``a = +-e_k`` returns 0.
     """
     u = as_unit_vector(a)
-    return _facet_slice(u, _facet_index(k, u.size))
+    return _facet_terms(u, _facet_index(k, u.size))[0]
 
 
-def _facet_slice(u: np.ndarray, k: int) -> float:
-    """Facet slice of unit ``u`` at ``x_k = 1``, for ``k`` in ``[0, n)``."""
+def _facet_terms(u: np.ndarray, k: int) -> tuple[float, float]:
+    """Facet slice of unit ``u`` at ``x_k = 1``, and the slab spread.
+
+    The spread is ``F(|u_k|) - F(-|u_k|)`` for the CDF ``F`` of the weights
+    without coordinate ``k``; one kernel call gives both.  ``k`` is in
+    ``[0, n)``.
+    """
     rest = np.delete(u, k)
     if not np.any(rest):
-        return 0.0
+        # no weight left: an empty slice, and the point mass at 0
+        return 0.0, 1.0
     h = abs(float(u[k]))
     w = _nonzero_weights(rest)
-    if w.size > 1:
-        density = density_at(w, h)
-    else:
+    density, spread = _density_and_spread(w, h)
+    if w.size == 1:
         # the box is the one discontinuous density; at its support endpoint
         # take the limit from inside
         box = float(w[0])
         density = 0.5 / box if h <= box else 0.0
-    return 2.0**rest.size * float(np.linalg.norm(rest)) * density
+    return 2.0**rest.size * float(np.linalg.norm(rest)) * density, spread
 
 
 def cone_volume(a, k: int) -> float:
@@ -154,7 +162,7 @@ def cone_volume(a, k: int) -> float:
     if u.size < 2:
         raise InvalidInputError("cone volumes need dimension at least 2")
     k = _facet_index(k, u.size)
-    return _cone_over(u, k, _facet_slice(u, k))
+    return _cone_over(u, k, _facet_terms(u, k)[0])
 
 
 def _cone_over(u: np.ndarray, k: int, base: float) -> float:
@@ -180,16 +188,12 @@ def slab_identity_check(a, k: int) -> tuple[float, float]:
     k = _facet_index(k, u.size)
     if u[k] == 0.0:
         raise InvalidInputError("slab identity needs a_k != 0")
-    return _section_at(u, 0.0)[0], _slab_rhs(u, k)
+    return _section_at(u, 0.0)[0], _slab_rhs(u, k, _facet_terms(u, k)[1])
 
 
-def _slab_rhs(u: np.ndarray, k: int) -> float:
+def _slab_rhs(u: np.ndarray, k: int, spread: float) -> float:
     """Right-hand side of the slab identity at unit ``u`` with ``u_k != 0``."""
-    ak = abs(float(u[k]))
-    rest = np.delete(u, k)
-    # the empty sum is the point mass at 0
-    spread = _cdf_spread(_nonzero_weights(rest), ak) if np.any(rest) else 1.0
-    return 2.0 ** (u.size - 1) * spread / ak
+    return 2.0 ** (u.size - 1) * spread / abs(float(u[k]))
 
 
 @dataclass(frozen=True)
@@ -245,12 +249,15 @@ def section_report(a) -> SectionReport:
     u = as_unit_vector(a)
     n = u.size
     vol = _section_at(u, 0.0)[0]
-    facets = np.array([_facet_slice(u, k) for k in range(n)])
+    terms = [_facet_terms(u, k) for k in range(n)]
+    facets = np.array([slice_ for slice_, _ in terms])
     if n >= 2:
         cones = np.array([_cone_over(u, k, facets[k]) for k in range(n)])
     else:
         cones = np.zeros(n)
-    slab_errors = [abs(vol - _slab_rhs(u, k)) for k in range(n) if u[k] != 0.0]
+    slab_errors = [
+        abs(vol - _slab_rhs(u, k, spread)) for k, (_, spread) in enumerate(terms) if u[k] != 0.0
+    ]
     return SectionReport(
         direction=u,
         volume=vol,

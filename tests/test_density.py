@@ -1,18 +1,22 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from cube_sections import density, sections
 from cube_sections.density import (
     MAX_CLOSED_FORM_WEIGHTS,
-    _cdf_spread,
     _compensated_sum,
     _corner_shifts,
+    _density_and_spread,
+    _sign_patterns,
     cdf_at,
     characteristic_function,
     density_at,
@@ -84,6 +88,8 @@ def test_errors():
         density_closed_form((0.0, 0.0))
     with pytest.raises(InvalidInputError):
         density_at(np.ones(MAX_CLOSED_FORM_WEIGHTS + 1), 0.0)
+    with pytest.raises(InvalidInputError):
+        _density_and_spread(np.ones(MAX_CLOSED_FORM_WEIGHTS + 1), 0.5)
 
 
 # -- structural invariants ---------------------------------------------
@@ -232,7 +238,7 @@ def test_cdf_spread_exact_for_small_x(big, tiny, x):
     w = np.array(big + tiny or [x])
     m = w.size
     want = float(_fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m))
-    assert _cdf_spread(w, x) == want
+    assert _density_and_spread(w, x)[1] == want
 
 
 @pytest.mark.parametrize("m", [9, 10])
@@ -243,7 +249,7 @@ def test_cdf_spread_float_path(m):
     w = rng.uniform(0.25, 1.0, m)
     for x in (1e-6, 0.3, 1.0, float(np.sum(w)) + 1.0):
         want = _fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m)
-        assert _cdf_spread(w, x) == pytest.approx(float(want), rel=1e-12)
+        assert _density_and_spread(w, x)[1] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_closed_form_exact_with_small_weights():
@@ -343,6 +349,9 @@ def test_compensated_sum_matches_fsum(m, kind, seed, frac, cdf):
     w = rng.uniform(0.25, 1.0, m) if kind == "uniform" else rng.standard_normal(m)
     terms = _kernel_terms(w, frac * float(np.sum(np.abs(w))), m if cdf else m - 1)
     want = math.fsum(terms)
+    # short sums go to fsum; the pairwise path is checked down to length 1
+    with mock.patch.object(density, "_FSUM_TERMS", 2):
+        assert abs(_compensated_sum(terms) - want) <= np.spacing(abs(want))
     assert abs(_compensated_sum(terms) - want) <= np.spacing(abs(want))
 
 
@@ -358,9 +367,11 @@ def test_compensated_sum_matches_fsum(m, kind, seed, frac, cdf):
     ],
     ids=["one", "two", "three", "five", "seven", "1000"],
 )
-def test_compensated_sum_short_and_uneven_lengths(terms):
+def test_compensated_sum_short_and_uneven_lengths(terms, monkeypatch):
     # an odd length at any level carries its last element to the end
     terms = np.asarray(terms, dtype=float)
+    assert _compensated_sum(terms) == math.fsum(terms)
+    monkeypatch.setattr(density, "_FSUM_TERMS", 2)
     assert _compensated_sum(terms) == math.fsum(terms)
 
 
@@ -375,3 +386,66 @@ def test_point_evaluators_above_exact_limit_equal_fsum(m):
         for evaluator, p in ((density_at, m - 1), (cdf_at, m)):
             scale = 1.0 / (2.0**m * float(np.prod(absw)) * math.factorial(p))
             assert evaluator(w, r) == scale * math.fsum(_kernel_terms(w, r, p))
+
+
+# -- corner sums by doubling, and the facet kernel ----------------------
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_corner_shifts_are_sequential_sums(m):
+    # doubling adds eps_k w_k in index order, as cumsum does, with weights
+    # spread over nine decades; the parities are the sign table's
+    rng = np.random.default_rng(m)
+    signs, parity = _sign_patterns(m)
+    w = 10.0 ** rng.uniform(-9.0, 0.0, m)
+    shifts, par = _corner_shifts(w)
+    assert np.array_equal(shifts, np.cumsum(w * signs, axis=1)[:, -1])
+    assert np.array_equal(par, parity)
+    # the complement pattern negates a corner sum exactly
+    assert np.array_equal(shifts, -shifts[::-1])
+    batch = 10.0 ** rng.uniform(-9.0, 0.0, (3, m))
+    assert np.array_equal(
+        _corner_shifts(batch)[0], np.cumsum(batch[:, None, :] * signs, axis=2)[:, :, -1]
+    )
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_density_and_spread_match_the_separate_sums(m):
+    # the density is density_at's; the spread is the two-sided sum
+    # sum P ((x - s)_+^m - (-x - s)_+^m), exact up to 8 weights and within
+    # an ulp of fsum of its float terms beyond that
+    rng = np.random.default_rng(200 + m)
+    w = rng.uniform(0.25, 1.0, m)
+    w[: m // 4] *= 1e-4
+    total = float(np.sum(w))
+    for x in (0.0, 1e-7, 0.3 * total, 0.95 * total):
+        density_x, spread = _density_and_spread(w, x)
+        if m > 1:
+            assert density_x == density_at(w, x)
+        if m <= 8:
+            assert spread == float(_fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m))
+        else:
+            shifts, parity = _corner_shifts(w)
+            hi, lo = x - shifts, -x - shifts
+            up, down = hi > 0.0, lo > 0.0
+            terms = np.concatenate([parity[up] * hi[up] ** m, -parity[down] * lo[down] ** m])
+            want = math.fsum(terms) / (2.0**m * float(np.prod(w)) * math.factorial(m))
+            assert abs(spread - want) <= np.spacing(abs(want))
+    assert _density_and_spread(w, total + 1.0) == (0.0, 1.0)
+
+
+def test_large_corner_tables_are_neither_built_nor_cached():
+    # at m = 16 one column of corner sums takes 2^16 floats; a 16-column
+    # sign table would take 8 MB, and nothing may be left in the cache
+    column = 2**16 * 8
+    cached = _sign_patterns.cache_info().currsize
+    a = np.random.default_rng(16).uniform(0.25, 1.0, 16)
+    for run in (lambda: density_at(a, 0.1), lambda: sections.section_report(a)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * column
+    assert _sign_patterns.cache_info().currsize == cached

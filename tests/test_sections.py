@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import cube_sections
 from cube_sections import sections, weights
+from cube_sections.casework import n3_cyclic_sum, n4_case_balance
 from cube_sections.criticality import cone_balance, criticality_residuals
 from cube_sections.sections import (
     central_volume,
@@ -185,7 +186,7 @@ def test_report_boundary_direction():
 
 
 def test_report_kernel_calls(monkeypatch):
-    # one central volume, one density per facet slice, one CDF spread per slab
+    # one central volume, and one table per facet for its slice and slab
     calls = []
 
     def counted(kernel):
@@ -195,18 +196,18 @@ def test_report_kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("density_at", "_cdf_spread"):
+    for name in ("density_at", "_density_and_spread"):
         monkeypatch.setattr(sections, name, counted(getattr(sections, name)))
     n = 6
     report = section_report(np.arange(1.0, n + 1.0))
-    assert len(calls) == 2 * n + 1
-    assert calls.count("_cdf_spread") == n
+    assert len(calls) == n + 1
+    assert calls.count("_density_and_spread") == n
     assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
 
 
 def test_inputs_are_coerced_once(monkeypatch):
     # a public call validates its input once; past that only density_at,
-    # once per corner sum, checks its weights again
+    # once per volume, checks its weights again
     calls = []
     original = weights.as_weight_vector
 
@@ -227,9 +228,12 @@ def test_inputs_are_coerced_once(monkeypatch):
     n = 6
     assert coercions(central_volume, np.arange(1.0, 4.0)) == 2
     assert coercions(normalized_section, np.arange(1.0, 4.0)) == 2
-    assert coercions(section_report, np.arange(1.0, n + 1.0)) == n + 2
-    assert coercions(cone_balance, np.arange(1.0, 5.0)) == 5
+    assert coercions(section_report, np.arange(1.0, n + 1.0)) == 2
+    assert coercions(cone_balance, np.arange(1.0, 5.0)) == 1
     assert coercions(criticality_residuals, np.arange(1.0, 5.0)) == 1
+    assert coercions(n3_cyclic_sum, (0.3, 0.5, 0.8)) == 1
+    b = np.array([0.2, 0.3, 0.4, 0.7])
+    assert coercions(lambda x: n4_case_balance(x, "A"), b / np.linalg.norm(b)) == 1
 
 
 # -- facet index handling ----------------------------------------------
