@@ -3,9 +3,11 @@
 For each scan configuration (dimension, seed count, rng seed) the seeds of
 ``search.scan`` are refined with ``search._refine_seeds`` and one SHA-256 is
 printed over the ``tobytes()`` of every refined vector, in seed order, with a
-fixed marker for a lost seed.  Run it once per checkout, for example
+fixed marker for a lost seed.  Run it once per checkout, each with that
+checkout's own copy of this script, since the private functions it calls
+may take other arguments there, for example
 
-    python scripts/scan_digest.py --src ../other/src
+    python ../other/scripts/scan_digest.py --src ../other/src
     python scripts/scan_digest.py --src src
 
 and compare the lines: equal digests mean bitwise equal refinements.
@@ -36,9 +38,7 @@ def main():
     for dimension, seed_count, rng_seed in CONFIGS:
         config = search.ScanConfig(dimension=dimension, seed_count=seed_count, rng_seed=rng_seed)
         start = time.perf_counter()
-        refined = search._refine_seeds(
-            search._scan_seeds(config), max_iters=config.newton_max_iters, tol=config.newton_tol
-        )
+        refined = search._refine_seeds(search._scan_seeds(config))
         elapsed = time.perf_counter() - start
         digest = hashlib.sha256()
         for vec in refined:

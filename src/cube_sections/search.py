@@ -17,8 +17,9 @@ whose coordinates collapse below a threshold, or whose line search stalls
 on noise-sized coordinates, leave the batch with those coordinates zeroed
 and are refined again on the reduced dimension, in one batch per live
 count, so the recursion batches again at every level.  A seed that
-arrives with zero coordinates recurses on its own.  Certification reads
-the balance residuals and the stationarity gap of a whole batch off one
+arrives with zero coordinates recurses on its own.  Every refined row of
+a level is snapped and certified in one batch: certification reads the
+balance residuals and the stationarity gap of the whole batch off one
 corner table per live count, with the verdicts, degenerate ones included,
 of :func:`cube_sections.criticality.criticality_residuals`.
 """
@@ -30,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import (
-    _corner_rows,
-    _degenerate_verdict,
-    _sinc_rows,
-    criticality_residuals,
-    grad_sinc_product_integral,
-)
+from .criticality import _corner_rows, _degenerate_verdict, _sinc_rows
 from .sections import _central, _normalized, diagonal_direction
 from .weights import InvalidInputError, _unit_vector, as_weight_vector
 
@@ -49,6 +44,10 @@ __all__ = [
     "scan",
 ]
 
+_NEWTON_MAX_ITERS = 60
+_NEWTON_TOL = 1e-11
+_DEDUP_TOL = 1e-6
+_CLASSIFY_STEP = 1e-4
 _ZERO_COORD_TOL = 1e-7
 _CERTIFY_TOL = 1e-8
 _SNAP_TOL = 1e-7
@@ -71,22 +70,17 @@ _HALVINGS = 30
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Parameters of one multistart scan."""
+    """One multistart scan: the dimension, how many random seeds, their rng seed."""
 
     dimension: int
     seed_count: int = 500
     rng_seed: int = 0
-    newton_max_iters: int = 60
-    newton_tol: float = 1e-11
-    dedup_tol: float = 1e-6
 
     def __post_init__(self):
         if self.dimension < 2:
             raise InvalidInputError("scan needs dimension at least 2")
         if self.seed_count < 0:
             raise InvalidInputError("seed_count must be nonnegative")
-        if not (self.newton_tol > 0.0 and self.dedup_tol > 0.0):
-            raise InvalidInputError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,33 +114,27 @@ def canonicalize(a) -> np.ndarray:
     return arr / norm
 
 
-def _stationarity_gap(a: np.ndarray) -> float:
-    """Max norm of the projected gradient; linear in the distance to a
-    critical direction, unlike the balance residuals which degenerate
-    quadratically near the coordinate axes."""
-    g = grad_sinc_product_integral(a)
-    lam = float(a @ g)
-    return float(np.max(np.abs(g - lam * a)))
-
-
-def _certified(a: np.ndarray) -> bool:
-    report = criticality_residuals(a, tol=_CERTIFY_TOL)
-    return report.verdict != "not-critical" and _stationarity_gap(a) <= _CERTIFY_TOL
-
-
 def _gap_rows(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """:func:`_stationarity_gap` of each row of ``a``, given its gradient rows."""
-    # one dot product per row, as _stationarity_gap takes the multiplier
+    """Stationarity gap of each row of ``a``, given its gradient rows.
+
+    The gap is the max norm of the projected gradient ``g - (a . g) a``;
+    it is linear in the distance to a critical direction, unlike the
+    balance residuals, which degenerate quadratically near the axes.
+    """
+    # one dot product per row, so a row's gap does not depend on its batch
     lam = np.array([row @ g for row, g in zip(a, grad)])
     return np.abs(grad - lam[:, None] * a).max(axis=1)
 
 
 def _certified_rows(a: np.ndarray) -> np.ndarray:
-    """:func:`_certified` of each row of ``a``, bitwise.
+    """Whether each row of ``a`` is certified critical.
 
-    The residual tables at the unit rows and the gap tables at the rows
-    themselves come from one :func:`~cube_sections.criticality._sinc_rows`
-    call, which makes one kernel call per live count.
+    A row is certified when its balance residuals are within 1e-8 or
+    :func:`~cube_sections.criticality.criticality_residuals` calls it
+    degenerate, and its stationarity gap is within 1e-8.  The residual
+    tables at the unit rows and the gap tables at the rows themselves come
+    from one :func:`~cube_sections.criticality._sinc_rows` call, which
+    makes one kernel call per live count.
     """
     count = len(a)
     u = np.empty_like(a)
@@ -162,12 +150,13 @@ def _certified_rows(a: np.ndarray) -> np.ndarray:
     return (balanced | degenerate) & (_gap_rows(a, table.grad[count:]) <= _CERTIFY_TOL)
 
 
-def _snap_rows(a: np.ndarray, slack: float) -> np.ndarray:
+def _snap_rows(a: np.ndarray) -> np.ndarray:
     """Snap each row to the diagonal on its coordinates above 1e-7.
 
     A row within 1e-4 of that diagonal is snapped when the stationarity
-    gap there is at most its own plus ``slack``, and otherwise only when
-    it is within 1e-7.  Both gaps of all rows come from one table.
+    gap there is at most its own plus the Newton tolerance 1e-11, and
+    otherwise only when it is within 1e-7.  Both gaps of all rows come
+    from one table.
     """
     live = np.abs(a) > _ZERO_COORD_TOL
     k = live.sum(axis=1)
@@ -178,7 +167,7 @@ def _snap_rows(a: np.ndarray, slack: float) -> np.ndarray:
     if near.size:
         both = np.concatenate([diag[near], a[near]])
         gaps = _gap_rows(both, _sinc_rows(both).grad)
-        wide = gaps[: near.size] <= gaps[near.size :] + slack
+        wide = gaps[: near.size] <= gaps[near.size :] + _NEWTON_TOL
         take = near[wide | (dist[near] <= _SNAP_TOL)]
         out[take] = diag[take]
     return out
@@ -191,111 +180,95 @@ def _unit(seed) -> np.ndarray | None:
     return None if norm == 0.0 else a / norm
 
 
-def refine_critical(
-    seed, *, max_iters: int = 60, tol: float = 1e-11
-) -> np.ndarray | None:
+def refine_critical(seed) -> np.ndarray | None:
     """Polish one seed to a certified critical direction, or ``None``.
 
     Newton iteration on the stationarity system in the direction and its
     multiplier, with the exact Jacobian ``[[H - lambda, -a], [a^T, 0]]``
-    from the corner-table Hessian ``H`` of ``I`` and step halving;
-    coordinates collapsing below 1e-7 are dropped and the reduced problem
-    is solved recursively, and a stalled iterate with coordinates small
-    enough to drown the residual in cancellation noise is retried with
-    those coordinates zeroed.  The returned vector is unit, nonnegative,
-    and snapped exactly onto a diagonal when doing so does not worsen the
-    stationarity gap.
+    from the corner-table Hessian ``H`` of ``I`` and step halving, to a
+    residual of 1e-11 within 60 steps; coordinates collapsing below 1e-7
+    are dropped and the reduced problem is solved recursively, and a
+    stalled iterate with coordinates small enough to drown the residual in
+    cancellation noise is retried with those coordinates zeroed.  The
+    returned vector is unit, nonnegative, and snapped exactly onto a
+    diagonal when doing so does not worsen the stationarity gap.
 
     The seed runs as a batch of one through the batched refinement that
     :func:`scan` runs all its seeds through, retries on reduced dimensions
     included, and its result is bitwise the same either way.
     """
-    return _refine_seeds([seed], max_iters=max_iters, tol=tol)[0]
+    return _refine_seeds([seed])[0]
 
 
-def _refine_seeds(seeds, *, max_iters: int, tol: float) -> list[np.ndarray | None]:
+def _refine_seeds(seeds) -> list[np.ndarray | None]:
     """:func:`refine_critical` of every seed, with one batch for all.
 
     Seeds must share one dimension.  A seed with a coordinate at or below
     1e-7 recurses on its own through the module-global
-    :func:`refine_critical` on its live coordinates, and is then snapped
-    and certified by :func:`_certified`; every other seed goes to
-    :func:`_refine_live` in one batch.
+    :func:`refine_critical` on its live coordinates.  Of the other seeds,
+    those certified at the start are only snapped, and the rest run
+    through one :func:`_newton_rows` batch.  Its ``"tiny"`` exits and its
+    ``"stalled"`` exits with their coordinates at or below 1e-3 zeroed are
+    normalized, and their coordinates above 1e-7 are refined again, with
+    one :func:`_refine_seeds` call per live count.  The recursion results,
+    the converged rows and the retries share one finish: one snap, then
+    one certification.
     """
     results: list[np.ndarray | None] = [None] * len(seeds)
-    batch: list[tuple[int, np.ndarray]] = []
+    finish: list[tuple[int, np.ndarray]] = []
+    rows: list[int] = []
+    starts: list[np.ndarray] = []
     for i, seed in enumerate(seeds):
         a = _unit(seed)
         if a is None:
             continue
         live = a > _ZERO_COORD_TOL
         if np.all(live):
-            batch.append((i, a))
-        elif np.any(live):
-            inner = refine_critical(a[live], max_iters=max_iters, tol=tol)
-            if inner is None:
-                continue
+            rows.append(i)
+            starts.append(a)
+            continue
+        inner = refine_critical(a[live])
+        if inner is not None:
             out = np.zeros_like(a)
             out[live] = inner
-            out = _snap_rows(out[None], tol)[0]
-            results[i] = out if _certified(out) else None
-    if batch:
-        rows, starts = zip(*batch)
-        for i, out in zip(rows, _refine_live(np.array(starts), max_iters=max_iters, tol=tol)):
-            results[i] = out
-    return results
+            finish.append((i, out))
 
-
-def _refine_live(a: np.ndarray, *, max_iters: int, tol: float) -> list[np.ndarray | None]:
-    """:func:`refine_critical` of unit rows whose coordinates are all above 1e-7.
-
-    Rows certified at the start are only snapped.  The others run through
-    one :func:`_newton_rows` batch.  Its ``"tiny"`` exits and its
-    ``"stalled"`` exits with their coordinates at or below 1e-3 zeroed
-    are normalized, and their coordinates above 1e-7 are refined again,
-    with one :func:`_refine_seeds` call per live count.  The converged
-    rows and the rebuilt reduced results share one tail: snap, then
-    certify.
-    """
-    n = a.shape[1]
-    results: list[np.ndarray | None] = [None] * len(a)
-    certified = _certified_rows(a)
-    for i, out in zip(np.flatnonzero(certified), _snap_rows(a[certified], tol)):
-        results[i] = out
-    todo = np.flatnonzero(~certified)
-    if not todo.size:
-        return results
-
-    finish: list[tuple[int, np.ndarray]] = []
-    retry: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for i, (exit_, x) in zip(todo, _newton_rows(a[todo], max_iters=max_iters, tol=tol)):
-        if exit_ == "converged":
-            finish.append((i, _unit(x)))
-            continue
-        if exit_ == "stalled":
-            # zero the noise-dominated coordinates of the stalled iterate
-            small = np.abs(x) <= _STALL_COLLAPSE_TOL
-            if not np.any(small) or np.all(small):
+    if rows:
+        a = np.array(starts)
+        certified = _certified_rows(a)
+        for i, out in zip(np.flatnonzero(certified), _snap_rows(a[certified])):
+            results[rows[i]] = out
+        todo = np.flatnonzero(~certified)
+        retry: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        exits = _newton_rows(a[todo]) if todo.size else []
+        for i, (exit_, x) in zip(todo, exits):
+            if exit_ == "converged":
+                finish.append((rows[i], _unit(x)))
                 continue
-            x = np.where(small, 0.0, x)
-        elif exit_ != "tiny":
-            continue
-        u = _unit(x)
-        live = u > _ZERO_COORD_TOL
-        retry.setdefault(int(np.count_nonzero(live)), []).append((i, u, live))
+            if exit_ == "stalled":
+                # zero the noise-dominated coordinates of the stalled iterate
+                small = np.abs(x) <= _STALL_COLLAPSE_TOL
+                if not np.any(small) or np.all(small):
+                    continue
+                x = np.where(small, 0.0, x)
+            elif exit_ != "tiny":
+                continue
+            u = _unit(x)
+            live = u > _ZERO_COORD_TOL
+            retry.setdefault(int(np.count_nonzero(live)), []).append((rows[i], u, live))
 
-    for group in retry.values():
-        inner = _refine_seeds([u[live] for _, u, live in group], max_iters=max_iters, tol=tol)
-        for (i, _, live), out in zip(group, inner):
-            if out is not None:
-                full = np.zeros(n)
-                full[live] = out
-                finish.append((i, full))
+        for group in retry.values():
+            inner = _refine_seeds([u[live] for _, u, live in group])
+            for (i, u, live), out in zip(group, inner):
+                if out is not None:
+                    full = np.zeros_like(u)
+                    full[live] = out
+                    finish.append((i, full))
 
     if finish:
-        rows, vecs = zip(*finish)
-        snapped = _snap_rows(np.array(vecs), tol)
-        for i, out, ok in zip(rows, snapped, _certified_rows(snapped)):
+        done, vecs = zip(*finish)
+        snapped = _snap_rows(np.array(vecs))
+        for i, out, ok in zip(done, snapped, _certified_rows(snapped)):
             results[i] = out if ok else None
     return results
 
@@ -333,9 +306,7 @@ def _solve_rows(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         return out, ok
 
 
-def _newton_rows(
-    a: np.ndarray, *, max_iters: int, tol: float
-) -> list[tuple[str, np.ndarray | None]]:
+def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
     """Damped Newton on the stationarity system for rows of directions in lock step.
 
     Each row takes exactly the steps it would take alone.  In every sweep
@@ -343,10 +314,10 @@ def _newton_rows(
     ``[[H - lambda, -a], [a^T, 0]]`` and solves for its step, and then
     every row tries its current step scale: the trial is accepted when it
     lowers the max-norm residual, and the scale halves otherwise.  Returns
-    how each row left, with its iterate: ``"converged"``, ``"stalled"``
-    (``max_iters`` steps, or 30 failed halvings), ``"tiny"`` (a trial with
-    a coordinate at or below 1e-7) or ``"singular"`` (no step; the iterate
-    is ``None``).
+    how each row left, with its iterate: ``"converged"`` (a residual of at
+    most 1e-11), ``"stalled"`` (60 steps, or 30 failed halvings),
+    ``"tiny"`` (a trial with a coordinate at or below 1e-7) or
+    ``"singular"`` (no step; the iterate is ``None``).
     """
     count, n = a.shape
     exits: list[tuple[str, np.ndarray | None]] = [("singular", None)] * count
@@ -371,9 +342,9 @@ def _newton_rows(
             row, x, G, resid, iters, step, scale, halved, searching = state
             idle = ~searching
             if idle.any():
-                left = idle & ((resid <= tol) | (iters >= max_iters))
+                left = idle & ((resid <= _NEWTON_TOL) | (iters >= _NEWTON_MAX_ITERS))
                 for i in np.flatnonzero(left):
-                    kind = "converged" if resid[i] <= tol else "stalled"
+                    kind = "converged" if resid[i] <= _NEWTON_TOL else "stalled"
                     exits[row[i]] = (kind, x[i, :n].copy())
                 new = np.flatnonzero(idle & ~left)
                 if new.size:
@@ -430,17 +401,18 @@ _PROBE_STEP = 3e-2
 _PROBE_NOISE = 1e-9
 
 
-def classify_critical_point(u, *, step: float = 1e-4) -> str:
+def classify_critical_point(u) -> str:
     """Classify a critical direction by its behavior on the tangent sphere.
 
     The normalized section volume is sampled on a tangent chart through
-    ``u``; Richardson-extrapolated second differences give the Hessian,
-    whose eigenvalue signs yield ``local-min``/``local-max``/``saddle``.
-    Diagonal directions can be Hessian-degenerate (the second-order terms
-    cancel identically and the character is quartic), so near-zero
-    eigenvalues trigger a direct sign probe of symmetric differences
-    along the eigenvector fan.  Points attaining the extreme values pi
-    and sqrt(2) pi are promoted to ``global-min`` and ``global-max``.
+    ``u``; second differences at steps 1e-4 and 5e-5, Richardson
+    extrapolated, give the Hessian, whose eigenvalue signs yield
+    ``local-min``/``local-max``/``saddle``.  Diagonal directions can be
+    Hessian-degenerate (the second-order terms cancel identically and the
+    character is quartic), so near-zero eigenvalues trigger a direct sign
+    probe of symmetric differences along the eigenvector fan.  Points
+    attaining the extreme values pi and sqrt(2) pi are promoted to
+    ``global-min`` and ``global-max``.
     """
     u = as_weight_vector(u)
     u = u / float(np.linalg.norm(u))
@@ -468,7 +440,7 @@ def classify_critical_point(u, *, step: float = 1e-4) -> str:
                 H[j, i] = H[i, j]
         return H
 
-    H = (4.0 * hessian(step / 2.0) - hessian(step)) / 3.0
+    H = (4.0 * hessian(_CLASSIFY_STEP / 2.0) - hessian(_CLASSIFY_STEP)) / 3.0
     eigs, vecs = np.linalg.eigh(H)
     if np.all(np.abs(eigs) >= _CLASSIFY_EIG_TOL):
         if np.all(eigs > 0.0):
@@ -542,22 +514,19 @@ def scan(config: ScanConfig) -> list[CriticalPoint]:
     Seeds are the ``n`` diagonal directions followed by ``seed_count``
     folded standard-normal directions from a seeded generator, refined
     together in one batch; each gives the vector :func:`refine_critical`
-    gives it alone.  Converged, certified points are merged within
-    ``dedup_tol`` in max norm on their canonical representatives and
+    gives it alone.  Converged, certified points are merged within 1e-6
+    in max norm on their canonical representatives and
     reported sorted by coordinates, with the number of seeds attracted to
     each point.
     """
     found: list[np.ndarray] = []
     counts: list[int] = []
-    results = _refine_seeds(
-        _scan_seeds(config), max_iters=config.newton_max_iters, tol=config.newton_tol
-    )
-    for result in results:
+    for result in _refine_seeds(_scan_seeds(config)):
         if result is None:
             continue
         rep = canonicalize(result)
         for idx, known in enumerate(found):
-            if float(np.max(np.abs(rep - known))) <= config.dedup_tol:
+            if float(np.max(np.abs(rep - known))) <= _DEDUP_TOL:
                 counts[idx] += 1
                 break
         else:
@@ -568,11 +537,12 @@ def scan(config: ScanConfig) -> list[CriticalPoint]:
     points = []
     for i in order:
         rep = found[i]
+        volume = _central(rep)
         points.append(
             CriticalPoint(
                 canonical=rep,
-                sigma=_normalized(rep),
-                volume=_central(rep),
+                sigma=math.pi * volume / 2.0 ** (rep.size - 1),
+                volume=volume,
                 classification=classify_critical_point(rep),
                 basin_count=counts[i],
                 diagonal_k=_diagonal_index(rep),

@@ -142,12 +142,9 @@ def _facet_terms(u: np.ndarray, k: int) -> tuple[float, float]:
         return 0.0, 1.0
     h = abs(float(u[k]))
     w = _nonzero_weights(rest)
+    # a single weight is a box, whose density the kernel takes at its
+    # support endpoint as the limit from inside
     density, spread = _density_and_spread(w, h)
-    if w.size == 1:
-        # the box is the one discontinuous density; at its support endpoint
-        # take the limit from inside
-        box = float(w[0])
-        density = 0.5 / box if h <= box else 0.0
     return 2.0**rest.size * float(np.linalg.norm(rest)) * density, spread
 
 

@@ -103,8 +103,16 @@ def test_facet_and_cone_at_axis():
     e1 = (1.0, 0.0, 0.0)
     assert facet_section_volume(e1, 0) == 0.0
     assert cone_volume(e1, 0) == 0.0
-    assert facet_section_volume(e1, 1) == pytest.approx(2.0, rel=1e-14)
-    assert cone_volume(e1, 2) == pytest.approx(1.0, rel=1e-14)
+    # one live weight left: the facet slice is a box density, exact here
+    assert facet_section_volume(e1, 1) == 2.0
+    assert cone_volume(e1, 2) == 1.0
+    assert facet_section_volume((0.0, 3.0, 4.0), 1) == 2.0
+    assert facet_section_volume((3.0, 4.0), 0) == 1.0
+    assert facet_section_volume((3.0, 4.0), 1) == 0.0  # outside the box
+    # (1, 1)/sqrt(2): the slice sits at the box's support endpoint, where
+    # the density is the limit from inside
+    assert facet_section_volume((1.0, 1.0), 0) == 1.0
+    assert facet_section_volume((1.0, 1.0), 1) == 1.0
 
 
 def test_cone_requires_two_dims():
@@ -272,7 +280,7 @@ def test_facet_functions_coordinate_direction():
     assert facet_section_volume(a, 1) == 0.0
     assert cone_volume(a, 1) == 0.0
     assert slab_identity_check(a, 1) == (4.0, 4.0)
-    assert facet_section_volume(a, 0) == pytest.approx(2.0, rel=1e-14)
+    assert facet_section_volume(a, 0) == 2.0
 
 
 @pytest.mark.parametrize(
