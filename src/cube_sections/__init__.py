@@ -65,6 +65,7 @@ from .search import (
 from .sections import (
     SectionReport,
     central_volume,
+    central_volumes,
     cone_volume,
     diagonal_direction,
     diagonal_section_volume,
@@ -103,6 +104,7 @@ __all__ = [
     "canonicalize",
     "cdf_at",
     "central_volume",
+    "central_volumes",
     "characteristic_function",
     "classify_critical_point",
     "clt_diagonal_asymptote",

@@ -33,13 +33,13 @@ from .density import cdf_at, density_at, density_closed_form
 from .oracles import monte_carlo_section, sinc_product_quadrature
 from .search import ScanConfig, classify_critical_point, scan
 from .sections import (
-    central_volume,
+    central_volumes,
     diagonal_direction,
     diagonal_section_volume,
     normalized_section,
     section_report,
 )
-from .weights import InvalidInputError
+from .weights import InvalidInputError, as_unit_vector
 
 __all__ = ["main", "build_parser"]
 
@@ -146,8 +146,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    direction = _direction_of(args)
-    unit = direction / float(np.linalg.norm(direction))
+    unit = as_unit_vector(_direction_of(args))
     report = criticality_residuals(unit)
     data = report.to_dict()
     data["classification"] = (
@@ -209,14 +208,16 @@ def cmd_fig1_grid(args) -> int:
     if args.resolution < 2:
         print("--resolution must be at least 2", file=sys.stderr)
         return 2
-    alphas = np.linspace(0.0, math.pi / 2.0, args.resolution)
-    betas = np.linspace(0.0, math.pi, 2 * args.resolution - 1)
+    alphas = np.linspace(0.0, math.pi / 2.0, args.resolution).tolist()
+    betas = np.linspace(0.0, math.pi, 2 * args.resolution - 1).tolist()
     rows = []
+    # one batch per alpha row: a single batch would hold the whole grid's
+    # directions at once
     for alpha in alphas:
         sa, ca = math.sin(alpha), math.cos(alpha)
-        for beta in betas:
-            direction = np.array([sa, ca * math.sin(beta), ca * math.cos(beta)])
-            rows.append((float(alpha), float(beta), central_volume(direction)))
+        directions = [(sa, ca * math.sin(beta), ca * math.cos(beta)) for beta in betas]
+        volumes = central_volumes(directions).tolist()
+        rows.extend((alpha, beta, v) for beta, v in zip(betas, volumes))
     _emit_csv(["alpha", "beta", "volume"], rows)
     return 0
 
@@ -238,8 +239,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    direction = _direction_of(args)
-    unit = direction / float(np.linalg.norm(direction))
+    unit = as_unit_vector(_direction_of(args))
     n = unit.size
     if args.method == "quad":
         integral = sinc_product_quadrature(unit, cosine_shift=args.r)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .criticality import _corner_rows, _degenerate_verdict, _sinc_rows
 from .sections import _central, _normalized, diagonal_direction
-from .weights import InvalidInputError, _unit_vector, as_weight_vector
+from .weights import InvalidInputError, _unit_vector, as_unit_vector, as_weight_vector
 
 __all__ = [
     "ScanConfig",
@@ -414,8 +414,7 @@ def classify_critical_point(u) -> str:
     attaining the extreme values pi and sqrt(2) pi are promoted to
     ``global-min`` and ``global-max``.
     """
-    u = as_weight_vector(u)
-    u = u / float(np.linalg.norm(u))
+    u = as_unit_vector(u)
     # orthonormal tangent basis: the right singular vectors past the first
     basis = np.linalg.svd(u[None, :])[2][1:].T
     d = basis.shape[1]

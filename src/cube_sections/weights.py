@@ -7,7 +7,8 @@ cube ``Q_n = [-1, 1]^n``.  Vectors are kept exactly as given; nothing in this
 module normalizes silently.
 
 A public function of the package coerces and validates its input once,
-through ``as_weight_vector``, ``as_unit_vector`` or ``nonzero_weights``.
+through ``as_weight_vector``, ``as_unit_vector`` or ``nonzero_weights``
+(``sections.central_volumes`` checks its batch of rows in one pass).
 Past that boundary only validated float arrays travel, and the private
 forms ``_unit_vector`` and ``_nonzero_weights`` do the same arithmetic on
 them without checking again.

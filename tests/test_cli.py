@@ -11,6 +11,7 @@ import pytest
 import cube_sections
 from cube_sections.cli import main
 from cube_sections.piecewise import PiecewisePolynomial
+from cube_sections.sections import central_volume
 
 
 def run(capsys, *argv):
@@ -98,6 +99,15 @@ def test_classify(capsys):
     assert data["classification"] == "global-max"
 
 
+def test_classify_scaled_input(capsys):
+    # the norm of (1e200, 1e200) overflows; peak-first scaling does not
+    _, reference = run(capsys, "classify", "-a", "1,1")
+    code, out = run(capsys, "classify", "-a", "1e200,1e200")
+    assert code == 0
+    assert json.loads(out)["classification"] == json.loads(reference)["classification"]
+    assert out == reference
+
+
 def test_classify_noncritical(capsys):
     code, out = run(capsys, "classify", "-a", "0.3,0.5,0.81")
     assert code == 1
@@ -172,6 +182,20 @@ def test_fig1_grid(capsys):
     assert max(volumes) <= 4.0 * math.sqrt(2.0) + 1e-9
 
 
+def test_fig1_grid_is_the_per_direction_csv(capsys):
+    # the batched grid against one central_volume call per direction
+    r = 21
+    code, out = run(capsys, "fig1-grid", "--resolution", str(r))
+    assert code == 0
+    lines = ["alpha,beta,volume"]
+    for alpha in np.linspace(0.0, math.pi / 2.0, r).tolist():
+        sa, ca = math.sin(alpha), math.cos(alpha)
+        for beta in np.linspace(0.0, math.pi, 2 * r - 1).tolist():
+            volume = central_volume([sa, ca * math.sin(beta), ca * math.cos(beta)])
+            lines.append(",".join(format(x, ".17g") for x in (alpha, beta, volume)))
+    assert out == "\n".join(lines) + "\n"
+
+
 # -- density ----------------------------------------------------------------------
 
 
@@ -197,6 +221,13 @@ def test_oracle_quadrature(capsys):
     assert data["method"] == "quad"
     # the estimate is the central section volume, 3*sqrt(3) for the diagonal
     assert data["estimate"] == pytest.approx(3.0 * math.sqrt(3.0), abs=1e-8)
+
+
+def test_oracle_quadrature_scaled_input(capsys):
+    # the norm of (1e-200, 1e-200, 2e-200) underflows; peak-first scaling does not
+    plain = run_json(capsys, "oracle", "-a", "1,1,2", "--method", "quad")
+    scaled = run_json(capsys, "oracle", "-a", "1e-200,1e-200,2e-200", "--method", "quad")
+    assert scaled["estimate"] == pytest.approx(plain["estimate"], rel=1e-12, abs=0.0)
 
 
 def test_oracle_monte_carlo_deterministic(capsys):

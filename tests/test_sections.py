@@ -5,14 +5,16 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cube_sections
-from cube_sections import sections, weights
+from cube_sections import cli, sections, weights
 from cube_sections.casework import n3_cyclic_sum, n4_case_balance
 from cube_sections.criticality import cone_balance, criticality_residuals
+from cube_sections.density import MAX_CLOSED_FORM_WEIGHTS, density_at
 from cube_sections.sections import (
     central_volume,
+    central_volumes,
     cone_volume,
     diagonal_direction,
     diagonal_section_volume,
@@ -22,7 +24,12 @@ from cube_sections.sections import (
     section_report,
     slab_identity_check,
 )
-from cube_sections.weights import InvalidInputError
+from cube_sections.weights import (
+    RELATIVE_WEIGHT_FLOOR,
+    InvalidInputError,
+    as_unit_vector,
+    nonzero_weights,
+)
 
 interior_st = st.lists(
     st.floats(0.05, 1.0, allow_nan=False), min_size=3, max_size=6
@@ -176,6 +183,77 @@ def test_normalized_section_bounds(a):
     assert math.pi - 1e-9 <= sigma <= SQRT2 * math.pi + 1e-9
 
 
+# -- the central-volume row kernel -----------------------------------------
+
+
+@st.composite
+def direction_rows(draw):
+    """A ``(B, n)`` batch, n = 1..12, mixing ordinary, zero and sub-floor
+    coordinates beside a peak in [1/2, 1], all scaled by one factor."""
+    n = draw(st.integers(1, 12))
+    coordinate = st.one_of(
+        st.just(0.0),
+        st.floats(-1.0, 1.0),
+        # full 53-bit mantissas, whose norms round
+        st.integers(-(2**53), 2**53).map(lambda k: k / 2.0**53),
+        # below RELATIVE_WEIGHT_FLOOR times any peak of at least 1/2
+        st.floats(1e-300, 0.25 * RELATIVE_WEIGHT_FLOOR),
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.lists(coordinate, min_size=n, max_size=n))
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1.0, -1.0))) * draw(
+            st.floats(0.5, 1.0)
+        )
+        rows.append(row)
+    return draw(st.sampled_from((1.0, 1e-200, 1e200))) * np.array(rows)
+
+
+def _public_central(row):
+    """The central volume composed from the public density kernel."""
+    u = as_unit_vector(row)
+    if nonzero_weights(u).size == 1:
+        return 2.0 ** (u.size - 1)
+    return 2.0**u.size * float(np.linalg.norm(u)) * density_at(u, 0.0)
+
+
+@given(direction_rows())
+@example(np.array([[0.3, -0.7, 0.0, 1e-18, 0.5, 0.9, -0.2, 0.4, 0.8, 0.6, -0.1, 0.35]]))
+@example(np.array([[0.0, 0.0, 1e-20, -2.0], [1.0, 1.0, 1.0, 1.0]]))
+# rows whose volumes move by an ulp under vectorized (einsum) row norms
+@example(np.array([[0.715, -0.933, 0.459], [0.189, -0.324, -0.217]]))
+@settings(deadline=None)
+def test_central_volumes_is_the_public_composition_bitwise(rows):
+    # more than EXACT_CORNER_WEIGHTS live weights takes the float sum
+    assert central_volumes(rows).tolist() == [_public_central(row) for row in rows]
+    assert [central_volume(row) for row in rows] == central_volumes(rows).tolist()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[1.0, np.nan, 0.5]],
+        [[0.2, 0.3], [np.inf, 1.0]],
+        [[1.0, 2.0], [0.0, 0.0]],
+        [1.0, 2.0],
+        np.zeros((0, 3)),
+        [],
+        np.ones((2, MAX_CLOSED_FORM_WEIGHTS + 1)),
+    ],
+    ids=["nan", "inf", "zero-row", "1-d", "no-rows", "empty", "too-many-weights"],
+)
+def test_central_volumes_rejects_invalid_batches(bad):
+    with pytest.raises(InvalidInputError):
+        central_volumes(bad)
+
+
+def test_central_volume_keeps_the_weight_count_check():
+    with pytest.raises(InvalidInputError):
+        central_volume(np.ones(MAX_CLOSED_FORM_WEIGHTS + 1))
+    with pytest.raises(InvalidInputError):
+        parallel_section(np.ones(MAX_CLOSED_FORM_WEIGHTS + 1), 0.5)
+
+
 def test_slab_identity_axis_cases():
     lhs, rhs = slab_identity_check((1.0, 0.0, 0.0), 0)
     assert lhs == pytest.approx(rhs, rel=1e-14)
@@ -204,7 +282,7 @@ def test_report_kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("density_at", "_density_and_spread"):
+    for name in ("_truncated_power_sum", "_density_and_spread"):
         monkeypatch.setattr(sections, name, counted(getattr(sections, name)))
     n = 6
     report = section_report(np.arange(1.0, n + 1.0))
@@ -214,8 +292,8 @@ def test_report_kernel_calls(monkeypatch):
 
 
 def test_inputs_are_coerced_once(monkeypatch):
-    # a public call validates its input once; past that only density_at,
-    # once per volume, checks its weights again
+    # a public call validates its input once, and nothing past it checks
+    # the weights again
     calls = []
     original = weights.as_weight_vector
 
@@ -234,9 +312,11 @@ def test_inputs_are_coerced_once(monkeypatch):
         return len(calls)
 
     n = 6
-    assert coercions(central_volume, np.arange(1.0, 4.0)) == 2
-    assert coercions(normalized_section, np.arange(1.0, 4.0)) == 2
-    assert coercions(section_report, np.arange(1.0, n + 1.0)) == 2
+    assert coercions(central_volume, np.arange(1.0, 4.0)) == 1
+    assert coercions(normalized_section, np.arange(1.0, 4.0)) == 1
+    assert coercions(section_report, np.arange(1.0, n + 1.0)) == 1
+    # at most one per batch of 2r - 1 = 9 volumes, not two per volume
+    assert coercions(cli.main, ["fig1-grid", "--resolution", "5"]) <= 5
     assert coercions(cone_balance, np.arange(1.0, 5.0)) == 1
     assert coercions(criticality_residuals, np.arange(1.0, 5.0)) == 1
     assert coercions(n3_cyclic_sum, (0.3, 0.5, 0.8)) == 1
