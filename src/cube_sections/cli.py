@@ -210,15 +210,18 @@ def cmd_fig1_grid(args) -> int:
         return 2
     alphas = np.linspace(0.0, math.pi / 2.0, args.resolution).tolist()
     betas = np.linspace(0.0, math.pi, 2 * args.resolution - 1).tolist()
-    rows = []
+    # the cells _emit_csv would write, each angle formatted once
+    beta_cells = [_g17(beta) for beta in betas]
+    lines = ["alpha,beta,volume"]
     # one batch per alpha row: a single batch would hold the whole grid's
     # directions at once
     for alpha in alphas:
         sa, ca = math.sin(alpha), math.cos(alpha)
         directions = [(sa, ca * math.sin(beta), ca * math.cos(beta)) for beta in betas]
         volumes = central_volumes(directions).tolist()
-        rows.extend((alpha, beta, v) for beta, v in zip(betas, volumes))
-    _emit_csv(["alpha", "beta", "volume"], rows)
+        alpha_cell = _g17(alpha)
+        lines.extend(f"{alpha_cell},{b},{_g17(v)}" for b, v in zip(beta_cells, volumes))
+    print("\n".join(lines))
     return 0
 
 

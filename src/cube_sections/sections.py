@@ -15,12 +15,11 @@ still a face, not the empty set).
 Each public function coerces its input once; the private helpers it calls
 take the validated array (``_section_at`` any nonzero vector, the facet
 helpers the unit vector and an index in range) and check nothing again.
-Volumes come from the density kernel's private corner sum
-``_truncated_power_sum`` on the reduced weights, not through the public
-``density_at``, which would coerce them again.  Central volumes have one
-row kernel, ``_central_rows``: ``central_volumes`` hands it a whole batch
-and ``central_volume`` a batch of one.  Everything per facet, the slice,
-the cone over it and the slab spread of the slab identity, comes from one
+Volumes come from the kernel ``density_at`` on the reduced weights, which
+keeps its own check.  Central volumes have one row kernel,
+``_central_rows``: ``central_volumes`` hands it a whole batch and
+``central_volume`` a batch of one.  Everything per facet, the slice, the
+cone over it and the slab spread of the slab identity, comes from one
 ``_density_and_spread`` call on the weights without coordinate ``k``.
 """
 
@@ -31,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _check_weight_count, _density_and_spread, _truncated_power_sum
+from .density import _density_and_spread, density_at
 from .weights import (
-    RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
     _nonzero_weights,
     as_unit_vector,
@@ -88,9 +86,8 @@ def _section_at(arr: np.ndarray, r: float) -> tuple[float, bool]:
         if abs(r) == h:
             return 2.0 ** (n - 1), True
         return 0.0, False
-    _check_weight_count(w.size)
-    density = _truncated_power_sum(w, r, w.size - 1)
-    return 2.0**n * float(np.linalg.norm(arr)) * density, False
+    # the norm as np.linalg.norm computes it, one dot
+    return 2.0**n * math.sqrt(arr.dot(arr)) * density_at(w, r), False
 
 
 def central_volume(a) -> float:
@@ -106,9 +103,10 @@ def _central(arr: np.ndarray) -> float:
 def central_volumes(directions) -> np.ndarray:
     """:func:`central_volume` of each row of a ``(B, n)`` array, bit for bit.
 
-    The array is validated once: two-dimensional, finite, every row with a
-    nonzero coordinate, and at most ``MAX_CLOSED_FORM_WEIGHTS`` weights
-    per row above the relative floor.
+    The array is validated once: two-dimensional, finite and every row
+    with a nonzero coordinate.  A row with more than
+    ``MAX_CLOSED_FORM_WEIGHTS`` weights above the relative floor is
+    rejected by the density kernel.
     """
     rows = np.asarray(directions, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -124,29 +122,14 @@ def _central_rows(rows: np.ndarray) -> list[float]:
     """Central volumes of the nonzero finite rows of ``rows``.
 
     Each row is scaled as :func:`~cube_sections.weights.as_unit_vector`
-    scales it, peak first, and reduced as
-    :func:`~cube_sections.weights.nonzero_weights` reduces it, so each
-    value is bitwise ``2^n |u| density_at(u, 0)`` at the row's unit vector
-    ``u``.  The norms are one ``dot`` per row, which is what
-    ``np.linalg.norm`` computes; row-wise vectorized norms round
-    differently.
+    scales it, the peak divided out for the whole batch at once, then
+    each row by its own norm.
     """
-    n = rows.shape[1]
     units = rows / np.max(np.abs(rows), axis=1, keepdims=True)
+    out = []
     for u in units:
         u /= math.sqrt(u.dot(u))
-    mags = np.abs(units)
-    live = mags > RELATIVE_WEIGHT_FLOOR * np.max(mags, axis=1, keepdims=True)
-    counts = np.count_nonzero(live, axis=1).tolist()
-    _check_weight_count(max(counts))
-    out = []
-    for u, w, mask, m in zip(units, mags, live, counts):
-        if m == 1:
-            # one live weight: the section is a facet of Q_{n-1}
-            out.append(2.0 ** (n - 1))
-        else:
-            density = _truncated_power_sum(w[mask], 0.0, m - 1)
-            out.append(2.0**n * math.sqrt(u.dot(u)) * density)
+        out.append(_section_at(u, 0.0)[0])
     return out
 
 

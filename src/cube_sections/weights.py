@@ -53,12 +53,12 @@ def as_weight_vector(a, *, allow_zero: bool = False) -> np.ndarray:
     numpy.ndarray
         A fresh float64 copy of the input.
     """
-    arr = np.atleast_1d(np.asarray(a, dtype=float)).copy()
+    arr = np.array(a, dtype=float, ndmin=1)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("weight vector must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("weight vector must be finite")
-    if not allow_zero and not np.any(arr):
+    if not allow_zero and not arr.any():
         raise InvalidInputError("weight vector must have a nonzero coordinate")
     return arr
 
@@ -89,4 +89,4 @@ def nonzero_weights(a) -> np.ndarray:
 def _nonzero_weights(arr: np.ndarray) -> np.ndarray:
     """:func:`nonzero_weights` of a validated nonempty float array."""
     arr = np.abs(arr)
-    return arr[arr > RELATIVE_WEIGHT_FLOOR * float(np.max(arr))]
+    return arr[arr > RELATIVE_WEIGHT_FLOOR * float(arr.max())]

@@ -282,7 +282,7 @@ def test_report_kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("_truncated_power_sum", "_density_and_spread"):
+    for name in ("density_at", "_density_and_spread"):
         monkeypatch.setattr(sections, name, counted(getattr(sections, name)))
     n = 6
     report = section_report(np.arange(1.0, n + 1.0))
@@ -292,8 +292,8 @@ def test_report_kernel_calls(monkeypatch):
 
 
 def test_inputs_are_coerced_once(monkeypatch):
-    # a public call validates its input once, and nothing past it checks
-    # the weights again
+    # a public call validates its input once; past that only density_at,
+    # once per volume, checks its weights again
     calls = []
     original = weights.as_weight_vector
 
@@ -312,11 +312,12 @@ def test_inputs_are_coerced_once(monkeypatch):
         return len(calls)
 
     n = 6
-    assert coercions(central_volume, np.arange(1.0, 4.0)) == 1
-    assert coercions(normalized_section, np.arange(1.0, 4.0)) == 1
-    assert coercions(section_report, np.arange(1.0, n + 1.0)) == 1
-    # at most one per batch of 2r - 1 = 9 volumes, not two per volume
-    assert coercions(cli.main, ["fig1-grid", "--resolution", "5"]) <= 5
+    assert coercions(central_volume, np.arange(1.0, 4.0)) == 2
+    assert coercions(normalized_section, np.arange(1.0, 4.0)) == 2
+    assert coercions(section_report, np.arange(1.0, n + 1.0)) == 2
+    # the batches add none of their own: at most density_at's one per
+    # volume, 5 x 9 = 45, not two per volume
+    assert coercions(cli.main, ["fig1-grid", "--resolution", "5"]) <= 45
     assert coercions(cone_balance, np.arange(1.0, 5.0)) == 1
     assert coercions(criticality_residuals, np.arange(1.0, 5.0)) == 1
     assert coercions(n3_cyclic_sum, (0.3, 0.5, 0.8)) == 1
