@@ -17,16 +17,22 @@ and compare the lines: equal digests mean bitwise equal reports.  With
 ``--errors`` each set's line also gives the largest and the median relative
 error of the reports' ``volume`` against ``section_volume`` of
 ``benchmarks/reference.py``, an exact integer sum that shares no code with
-the package; at n = 18 it takes about a second per direction.
+the package; at n = 18 it takes about a second per direction.  It also
+gives the largest relative error of the facet slices and of the slab
+spreads ``F(|u_k|) - F(-|u_k|)`` that the report reads, at facets
+k = 0, n//2 and n-1, against the exact corner sum of ``exact_facet`` below,
+which shares no code with the package either.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import math
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +56,50 @@ def direction_sets():
     ]
 
 
+def exact_facet(u, k):
+    """Slice of facet ``x_k = 1`` of the unit vector ``u`` and its slab spread, exactly.
+
+    With ``w`` the nonzero ``|u_j|``, ``j != k``, and ``h = |u_k|``: the slice
+    is ``2^(n-1) |w| f(h)`` and the spread ``F(h) - F(-h)`` for the density
+    ``f`` and CDF ``F`` of ``sum w_j X_j``, both sums over the ``2^m``
+    corners ``s`` with parities ``P``:
+
+        f(h) = sum P (h - s)_+^(m-1) / (2^m (m-1)! prod w),
+        F(h) - F(-h) = sum P ((h - s)_+^m - (-h - s)_+^m) / (2^m m! prod w).
+
+    The floats are integers over their largest denominator, so both are
+    exact Fractions; only the norm ``|w|`` is rounded.
+    """
+    rest = [abs(x) for j, x in enumerate(u.tolist()) if j != k and x != 0.0]
+    ratios = [x.as_integer_ratio() for x in rest + [abs(float(u[k]))]]
+    q = max(d for _, d in ratios)
+    *w, h = [n * (q // d) for n, d in ratios]
+    m = len(w)
+    corners = [(-sum(w), 1)]
+    for x in w:
+        corners += [(s + 2 * x, -p) for s, p in corners]
+    density = sum(p * (h - s) ** (m - 1) for s, p in corners if s < h)
+    spread = sum(p * (h - s) ** m for s, p in corners if s < h)
+    spread -= sum(p * (-h - s) ** m for s, p in corners if s < -h)
+    den = 2**m * math.prod(w) * math.factorial(m - 1)
+    norm = math.sqrt(sum(Fraction(x) ** 2 for x in rest))
+    # the powers carry q^-(m-1) and the product q^-m
+    return float(2 ** (u.size - 1) * Fraction(density * q, den)) * norm, Fraction(spread, den * m)
+
+
+def report_spreads(sections, u):
+    """The slab spread of every facet, as ``section_report`` takes them."""
+    every = getattr(sections, "_all_facet_terms", None)
+    if every is not None:
+        return [spread for _, spread in every(u)]
+    # a checkout without the shared facet table: one kernel call per facet
+    return [sections._facet_terms(u, k)[1] for k in range(u.size)]
+
+
+def relative(value, exact):
+    return abs(value - exact) / abs(exact) if exact else abs(value)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
@@ -61,7 +111,7 @@ def main():
     parser.add_argument(
         "--errors",
         action="store_true",
-        help="also print each set's max and median relative volume error against the exact reference",
+        help="also print each set's relative volume, facet slice and slab spread errors against exact sums",
     )
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
@@ -83,11 +133,17 @@ def main():
         elapsed = time.perf_counter() - start
         line = f"{name} reports={len(directions)} sha256={digest.hexdigest()} seconds={elapsed:.2f}"
         if args.errors:
-            errors = []
+            errors, facet_errors, spread_errors = [], [], []
             for report in reports:
-                exact = reference.section_volume(report.direction)
-                errors.append(abs(report.volume - exact) / exact)
+                u = report.direction
+                errors.append(relative(report.volume, reference.section_volume(u)))
+                spreads = report_spreads(sections, u)
+                for k in sorted({0, u.size // 2, u.size - 1}):
+                    slice_, spread = exact_facet(u, k)
+                    facet_errors.append(relative(report.facet_section_volumes[k], slice_))
+                    spread_errors.append(float(relative(Fraction(spreads[k]), spread)))
             line += f" max_rel_err={max(errors):.3g} median_rel_err={statistics.median(errors):.3g}"
+            line += f" facet_max_rel_err={max(facet_errors):.3g} spread_max_rel_err={max(spread_errors):.3g}"
         print(line, flush=True)
 
     start = time.perf_counter()

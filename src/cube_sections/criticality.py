@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import MAX_CLOSED_FORM_WEIGHTS, _corner_shifts, _sign_patterns, density_at
-from .sections import _cone_over, _facet_terms
+from .sections import _all_facet_terms, _cone_over
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
@@ -383,7 +383,10 @@ def cone_balance(a) -> ConeBalance:
     if np.any(1.0 - u**2 == 0.0):
         raise InvalidInputError("cone balance undefined at coordinate directions")
     ratios = np.array(
-        [_cone_over(u, k, _facet_terms(u, k)[0]) / (1.0 - u[k] ** 2) for k in range(u.size)]
+        [
+            _cone_over(u, k, slice_) / (1.0 - u[k] ** 2)
+            for k, (slice_, _) in enumerate(_all_facet_terms(u))
+        ]
     )
     mu_hat = float(np.mean(ratios))
     spread = float((np.max(ratios) - np.min(ratios)) / mu_hat)

@@ -19,8 +19,12 @@ Volumes come from the kernel ``density_at`` on the reduced weights, which
 keeps its own check.  Central volumes have one row kernel,
 ``_central_rows``: ``central_volumes`` hands it a whole batch and
 ``central_volume`` a batch of one.  Everything per facet, the slice, the
-cone over it and the slab spread of the slab identity, comes from one
-``_density_and_spread`` call on the weights without coordinate ``k``.
+cone over it and the slab spread of the slab identity, comes from the
+density and spread of the weights without coordinate ``k``.  A report and
+a cone balance read every facet off one ``_facet_marginals`` table of the
+direction where the rest has more than ``EXACT_CORNER_WEIGHTS`` weights;
+a single facet, and any facet the table leaves out, takes one
+``_density_and_spread`` call.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _density_and_spread, density_at
+from .density import EXACT_CORNER_WEIGHTS, _density_and_spread, _facet_marginals, density_at
 from .weights import (
+    RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
     _nonzero_weights,
     as_unit_vector,
@@ -165,23 +170,40 @@ def facet_section_volume(a, k: int) -> float:
     return _facet_terms(u, _facet_index(k, u.size))[0]
 
 
-def _facet_terms(u: np.ndarray, k: int) -> tuple[float, float]:
+def _facet_terms(u: np.ndarray, k: int, marginal=None) -> tuple[float, float]:
     """Facet slice of unit ``u`` at ``x_k = 1``, and the slab spread.
 
     The spread is ``F(|u_k|) - F(-|u_k|)`` for the CDF ``F`` of the weights
-    without coordinate ``k``; one kernel call gives both.  ``k`` is in
-    ``[0, n)``.
+    without coordinate ``k``; one kernel call gives both, unless their
+    density and spread come as ``marginal``.  ``k`` is in ``[0, n)``.
     """
     rest = np.delete(u, k)
     if not np.any(rest):
         # no weight left: an empty slice, and the point mass at 0
         return 0.0, 1.0
-    h = abs(float(u[k]))
-    w = _nonzero_weights(rest)
     # a single weight is a box, whose density the kernel takes at its
     # support endpoint as the limit from inside
-    density, spread = _density_and_spread(w, h)
+    density, spread = marginal or _density_and_spread(_nonzero_weights(rest), abs(float(u[k])))
     return 2.0**rest.size * float(np.linalg.norm(rest)) * density, spread
+
+
+def _all_facet_terms(u: np.ndarray) -> list[tuple[float, float]]:
+    """:func:`_facet_terms` of unit ``u`` for every ``k``.
+
+    Above ``EXACT_CORNER_WEIGHTS`` weights in the rest, one
+    :func:`~cube_sections.density._facet_marginals` table serves each live
+    ``u_k`` whose rest keeps exactly the other live weights; only the peak's
+    rest can keep more, those under the floor of ``u`` but not of the rest.
+    The other facets, and all of them at fewer weights, take their own call.
+    """
+    size = np.abs(u)
+    live = np.flatnonzero(size > RELATIVE_WEIGHT_FLOOR * float(size.max()))
+    shared = {}
+    if live.size - 1 > EXACT_CORNER_WEIGHTS:
+        for k, marginal in zip(live.tolist(), _facet_marginals(size[live])):
+            if _nonzero_weights(np.delete(u, k)).size == live.size - 1:
+                shared[k] = marginal
+    return [_facet_terms(u, k, shared.get(k)) for k in range(u.size)]
 
 
 def cone_volume(a, k: int) -> float:
@@ -282,7 +304,7 @@ def section_report(a) -> SectionReport:
     u = as_unit_vector(a)
     n = u.size
     vol = _section_at(u, 0.0)[0]
-    terms = [_facet_terms(u, k) for k in range(n)]
+    terms = _all_facet_terms(u)
     facets = np.array([slice_ for slice_, _ in terms])
     if n >= 2:
         cones = np.array([_cone_over(u, k, facets[k]) for k in range(n)])

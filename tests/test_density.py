@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -16,6 +17,8 @@ from cube_sections.density import (
     _compensated_sum,
     _corner_shifts,
     _density_and_spread,
+    _facet_marginals,
+    _facet_sums,
     _sign_patterns,
     cdf_at,
     characteristic_function,
@@ -449,3 +452,105 @@ def test_large_corner_tables_are_neither_built_nor_cached():
             tracemalloc.stop()
         assert peak < 4 * column
     assert _sign_patterns.cache_info().currsize == cached
+
+
+# -- one corner table for every facet -------------------------------------
+
+
+def _lower_half(x, k):
+    """The entries of ``x`` whose index has bit ``k`` = 0, in table order."""
+    return x.reshape(-1, 2, 1 << k)[:, 0].ravel()
+
+
+def _blocks_of(tables):
+    """A stand-in for ``density._term_blocks`` that cuts up given tables."""
+
+    def blocks(_w, c, wanted):
+        rows = [table.reshape(-1, 1 << c) for table in tables]
+        return ((rows[0][b], rows[1][b]) for b in wanted)
+
+    return blocks
+
+
+def _table_terms(w):
+    """Density and spread terms of the whole corner table of ``w``, unblocked."""
+    m = w.size
+    shifts, parity = _corner_shifts(w)
+    t = -shifts
+    density = np.where(t > 0.0, parity * np.abs(t) ** (m - 2), 0.0)
+    spread = parity * np.sign(t) ** m * np.abs(t) ** (m - 1)
+    return density, spread
+
+
+@given(
+    st.integers(2, 14),
+    st.integers(0, 6),
+    st.sampled_from(["corners", "cancelling", "same-sign"]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@settings(deadline=None, max_examples=60)
+@example(m=14, high=3, kind="corners", seed=7, fold=False)
+@example(m=12, high=6, kind="cancelling", seed=1, fold=True)
+def test_facet_half_sums_within_an_ulp_of_fsum(m, high, kind, seed, fold):
+    # every bit's half-sum, through the cross-block combination (blocks of
+    # 2^c, c = min(m - 1, m - high)) and, with a short fsum cut-off, the
+    # halving inside each fold
+    rng = np.random.default_rng(seed)
+    c = max(1, m - high)
+    if kind == "corners":
+        w = rng.uniform(0.25, 1.0, m)
+        w[: m // 4] *= 1e-3
+        tables = _table_terms(w)
+        blocks = None
+    else:
+        w = np.ones(m)
+        size = 10.0 ** rng.uniform(-8.0, 8.0, (2, 1 << m))
+        tables = size * rng.choice([-1.0, 1.0], size.shape) if kind == "cancelling" else size
+        blocks = _blocks_of(tables)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(density, "_TABLE_BLOCK_BITS", c))
+        if blocks is not None:
+            stack.enter_context(mock.patch.object(density, "_term_blocks", blocks))
+        if fold:
+            stack.enter_context(mock.patch.object(density, "_FSUM_TERMS", 2))
+        sums = _facet_sums(w, range(m))
+    for table, got in zip(tables, sums):
+        for k in range(m):
+            want = math.fsum(_lower_half(table, k))
+            assert abs(got[k] - want) <= np.spacing(abs(want))
+
+
+def test_facet_half_sums_fall_back_to_fsum():
+    # the top bit's half: v + c pairs with -v - c two levels on, so every
+    # float sum cancels to 0 and only the errors carry the 1e-30; their
+    # magnitude (~1e-5) is far above it, and the half goes to math.fsum
+    rng = np.random.default_rng(3)
+    m = 13
+    v, c = rng.standard_normal(512) * 1e8, rng.standard_normal(512)
+    table = np.zeros(1 << m)
+    table[:1024] = np.concatenate([v, -v])
+    table[2048:3072] = np.concatenate([c, -c])
+    table[1024] = 1e-30
+    spy = mock.Mock(wraps=density._half_terms)
+    with (
+        mock.patch.object(density, "_term_blocks", _blocks_of([table, table])),
+        mock.patch.object(density, "_half_terms", spy),
+    ):
+        sums = _facet_sums(np.ones(m), [m - 1])
+    want = math.fsum(_lower_half(table, m - 1))
+    assert want == 1e-30
+    assert sums == ([want], [want])
+    assert spy.call_args_list == [mock.call(mock.ANY, kind, m - 1) for kind in (0, 1)]
+
+
+@pytest.mark.parametrize("m", [10, 13, 16])
+def test_facet_marginals_are_the_facets_of_one_table(m):
+    # each facet reads its half of the one table; the per-facet table of
+    # the rest differs only in the rounding of the corner sums
+    rng = np.random.default_rng(300 + m)
+    w = rng.uniform(0.25, 1.0, m)
+    for k, (density_k, spread_k) in enumerate(_facet_marginals(w)):
+        want_density, want_spread = _density_and_spread(np.delete(w, k), w[k])
+        assert density_k == pytest.approx(want_density, rel=1e-11)
+        assert spread_k == pytest.approx(want_spread, rel=1e-11)

@@ -2,13 +2,14 @@ import importlib
 import json
 import math
 import pkgutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cube_sections
-from cube_sections import cli, sections, weights
+from cube_sections import cli, density, sections, weights
 from cube_sections.casework import n3_cyclic_sum, n4_case_balance
 from cube_sections.criticality import cone_balance, criticality_residuals
 from cube_sections.density import MAX_CLOSED_FORM_WEIGHTS, density_at
@@ -271,8 +272,8 @@ def test_report_boundary_direction():
     assert report.cone_volumes[2] == pytest.approx(SQRT2, rel=1e-13)
 
 
-def test_report_kernel_calls(monkeypatch):
-    # one central volume, and one table per facet for its slice and slab
+def _report_kernel_calls(monkeypatch, a):
+    """The report of ``a`` and the density kernels it called, by name."""
     calls = []
 
     def counted(kernel):
@@ -282,12 +283,25 @@ def test_report_kernel_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("density_at", "_density_and_spread"):
+    for name in ("density_at", "_density_and_spread", "_facet_marginals"):
         monkeypatch.setattr(sections, name, counted(getattr(sections, name)))
+    return section_report(a), calls
+
+
+def test_report_kernel_calls(monkeypatch):
+    # one central volume, and one exact table per facet for its slice and slab
     n = 6
-    report = section_report(np.arange(1.0, n + 1.0))
+    report, calls = _report_kernel_calls(monkeypatch, np.arange(1.0, n + 1.0))
     assert len(calls) == n + 1
     assert calls.count("_density_and_spread") == n
+    assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
+
+
+def test_report_kernel_calls_share_one_table(monkeypatch):
+    # above 8 weights in each rest, one table serves every facet
+    n = 12
+    report, calls = _report_kernel_calls(monkeypatch, np.arange(1.0, n + 1.0))
+    assert sorted(calls) == ["_facet_marginals", "density_at"]
     assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
 
 
@@ -380,6 +394,63 @@ def test_slab_identity_near_degenerate(a):
     # slab identity off by 3.8e-10 V to 4.0e-9 V
     report = section_report(a)
     assert report.slab_max_error <= 1e-10 * report.volume
+
+
+def _exact_facet(u, k):
+    """Slice and spread of facet ``k`` from the exact integer corner sums."""
+    rest = np.delete(u, k)
+    w = np.abs(rest[rest != 0.0])
+    m = w.size
+    h = abs(float(u[k]))
+    q, weights, even, odd, (hi, lo) = density._dyadic_corners(w.tolist(), [h, -h])
+    den = 2**m * math.prod(weights) * math.factorial(m - 1)
+    f = Fraction(density._integer_power_sum(even, odd, hi, m - 1) * q, den)
+    spread = density._integer_power_sum(even, odd, hi, m) - density._integer_power_sum(even, odd, lo, m)
+    return 2.0**rest.size * float(np.linalg.norm(rest)) * float(f), float(Fraction(spread, den * m))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_report_facets_match_the_exact_corner_sums(n):
+    rng = np.random.default_rng(n)
+    u = as_unit_vector(rng.uniform(0.25, 1.0, n) * rng.choice([-1.0, 1.0], n))
+    report = section_report(u)
+    spreads = [spread for _, spread in sections._all_facet_terms(u)]
+    for k in range(n):
+        slice_, spread = _exact_facet(u, k)
+        assert report.facet_section_volumes[k] == pytest.approx(slice_, rel=1e-12)
+        assert sections._slab_rhs(u, k, spreads[k]) == pytest.approx(
+            sections._slab_rhs(u, k, spread), rel=1e-12
+        )
+
+
+def _replaced(values, *coordinates):
+    a = np.array(values)
+    for k, v in coordinates:
+        a[k] = v
+    return a
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _replaced(np.linspace(0.3, 1.0, 11), (3, 0.0)),
+        _replaced(np.linspace(0.3, 1.0, 11), (5, 1e-16)),
+        # the peak's rest keeps 9.5e-15, which the floor of the whole drops
+        _replaced(np.linspace(0.3, 0.9, 11), (0, 1.0), (10, 9.5e-15)),
+        np.linspace(0.3, 1.0, 9),
+        np.linspace(0.3, 1.0, 10),
+    ],
+    ids=["zero", "sub-floor", "peak-rest", "n9", "n10"],
+)
+def test_report_facets_match_one_facet_at_a_time(a):
+    # the facets the shared table leaves out take their own kernel call
+    u = as_unit_vector(a)
+    report = section_report(a)
+    shared = sections._all_facet_terms(u)
+    for k in range(u.size):
+        slice_, spread = sections._facet_terms(u, k)
+        assert report.facet_section_volumes[k] == pytest.approx(slice_, rel=1e-12, abs=0.0)
+        assert shared[k][1] == pytest.approx(spread, rel=1e-12, abs=0.0)
 
 
 def test_report_serializes():
