@@ -17,7 +17,7 @@ from cube_sections.criticality import (
     interior_condition,
     sinc_product_integral,
 )
-from cube_sections.density import density_at
+from cube_sections.density import MAX_CLOSED_FORM_WEIGHTS, density_at
 from cube_sections.sections import normalized_section
 from cube_sections.weights import InvalidInputError
 
@@ -308,3 +308,9 @@ def test_cone_balance_errors():
         cone_balance((1.0,))
     with pytest.raises(InvalidInputError):
         cone_balance((1.0, 0.0, 0.0))
+
+
+def test_cone_balance_rejects_rests_past_the_closed_form():
+    # every rest of n = MAX + 2 equal weights has MAX + 1 of them
+    with pytest.raises(InvalidInputError, match="nonzero weights"):
+        cone_balance(np.ones(MAX_CLOSED_FORM_WEIGHTS + 2))

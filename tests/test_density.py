@@ -465,7 +465,8 @@ def _lower_half(x, k):
 def _blocks_of(tables):
     """A stand-in for ``density._term_blocks`` that cuts up given tables."""
 
-    def blocks(_w, c, wanted):
+    def blocks(_w, c, wanted, positive=False):
+        # the tables are cut whole: ``positive`` would only drop zero terms
         rows = [table.reshape(-1, 1 << c) for table in tables]
         return ((rows[0][b], rows[1][b]) for b in wanted)
 
@@ -515,10 +516,28 @@ def test_facet_half_sums_within_an_ulp_of_fsum(m, high, kind, seed, fold):
         if fold:
             stack.enter_context(mock.patch.object(density, "_FSUM_TERMS", 2))
         sums = _facet_sums(w, range(m))
-    for table, got in zip(tables, sums):
+        # the top facet alone sums whole blocks of positive density terms
+        top = _facet_sums(w, [m - 1])
+    for table, got, got_top in zip(tables, sums, top):
         for k in range(m):
             want = math.fsum(_lower_half(table, k))
             assert abs(got[k] - want) <= np.spacing(abs(want))
+        assert abs(got_top[0] - want) <= np.spacing(abs(want))
+
+
+@pytest.mark.parametrize("m", [10, 13])
+def test_term_blocks_are_the_unblocked_table(m):
+    rng = np.random.default_rng(500 + m)
+    w = rng.uniform(0.25, 1.0, m)
+    c = m - 3
+    density_terms, spread_terms = _table_terms(w)
+    t = -_corner_shifts(w)[0]
+    full = list(density._term_blocks(w, c, range(8)))
+    assert np.array_equal(np.concatenate([d for d, _ in full]), density_terms)
+    assert np.array_equal(np.concatenate([s for _, s in full]), spread_terms)
+    positive = list(density._term_blocks(w, c, range(8), positive=True))
+    assert np.array_equal(np.concatenate([d for d, _ in positive]), density_terms[t > 0.0])
+    assert np.array_equal(np.concatenate([s for _, s in positive]), spread_terms)
 
 
 def test_facet_half_sums_fall_back_to_fsum():
