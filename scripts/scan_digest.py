@@ -3,14 +3,18 @@
 For each scan configuration (dimension, seed count, rng seed) the seeds of
 ``search.scan`` are refined with ``search._refine_seeds`` and one SHA-256 is
 printed over the ``tobytes()`` of every refined vector, in seed order, with a
-fixed marker for a lost seed.  Run it once per checkout, each with that
-checkout's own copy of this script, since the private functions it calls
-may take other arguments there, for example
+fixed marker for a lost seed.  Beside it are the labels of the classes
+``search.scan`` reports for the same configuration, in its order, each as
+``k:label`` with ``k`` the diagonal index or ``-`` off the diagonals.  Run
+it once per checkout, each with that checkout's own copy of this script,
+since the private functions it calls may take other arguments there, for
+example
 
     python ../other/scripts/scan_digest.py --src ../other/src
     python scripts/scan_digest.py --src src
 
-and compare the lines: equal digests mean bitwise equal refinements.
+and compare the lines: equal digests mean bitwise equal refinements, and
+equal labels an unchanged classification.
 """
 
 import argparse
@@ -44,9 +48,13 @@ def main():
         for vec in refined:
             digest.update(b"lost" if vec is None else vec.tobytes())
         lost = sum(vec is None for vec in refined)
+        labels = ",".join(
+            f"{'-' if p.diagonal_k is None else p.diagonal_k}:{p.classification}"
+            for p in search.scan(config)
+        )
         print(
             f"n={dimension} seeds={seed_count} rng_seed={rng_seed} "
-            f"sha256={digest.hexdigest()} lost={lost} seconds={elapsed:.2f}",
+            f"sha256={digest.hexdigest()} lost={lost} labels={labels} seconds={elapsed:.2f}",
             flush=True,
         )
 

@@ -39,6 +39,14 @@ read off one table of corner sums.  For the ``m`` nonzero magnitudes
                     + I (1 / (w_j w_k) + [j = k] / w_j^2),
     Phi_jk = (m-1)(m-2) sum P delta_j delta_k s_+^(m-3).
 
+``I`` is even in each coordinate, so at a zero coordinate ``a_i`` the
+gradient entry and every mixed second derivative vanish.  Averaging the
+live density over ``a_i X_i`` gives the transverse one,
+
+    d2I/da_i^2 = (2 pi / 3) f_live''(0) = (c / prod w) Phi_jj / 3,
+
+a third of the corner sum every live diagonal entry already carries.
+
 Off the kinks ``Phi_k`` equals the full-table derivative
 ``(m-1) sum P delta_k s_+^(m-2)`` of ``Phi``; the half-table form keeps the
 right-continuous box density at ``m = 2``.  A zeroth truncated power is the
@@ -59,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import MAX_CLOSED_FORM_WEIGHTS, _corner_shifts, _sign_patterns, density_at
+from .density import _check_weight_count, _corner_shifts, density_at
 from .sections import _all_facet_terms, _cone_over
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
@@ -116,13 +124,15 @@ class _CornerRows(NamedTuple):
     """``I`` and its derivatives in the magnitudes, one entry per row.
 
     ``reduced`` holds the terms ``2 pi f_reduced_k(w_k)``; ``grad`` and
-    ``hessian`` are derivatives in ``w``.
+    ``hessian`` are derivatives in ``w``, and ``transverse`` is
+    ``d2I/da_i^2`` along a further coordinate ``a_i = 0``.
     """
 
     value: np.ndarray
     reduced: np.ndarray
     grad: np.ndarray
     hessian: np.ndarray | None
+    transverse: np.ndarray | None
 
 
 def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
@@ -134,20 +144,18 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
     the Hessian is built only on request.
     """
     count, m = w.shape
-    if m > MAX_CLOSED_FORM_WEIGHTS:
-        raise InvalidInputError(
-            f"more than {MAX_CLOSED_FORM_WEIGHTS} nonzero weights: the "
-            "truncated-power expansion would lose all precision"
-        )
+    _check_weight_count(m)
     rows = max(1, _CORNER_BUDGET // (m << m))
     if count > rows:
         parts = [_corner_rows(w[i : i + rows], hessian=hessian) for i in range(0, count, rows)]
         return _CornerRows(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
 
-    signs, parity = _sign_patterns(m)
-    par = parity if m % 2 == 0 else -parity  # (-1)^(#negative signs)
-    # doubling adds the weights in index order, whatever the batch
-    s = _corner_shifts(w)[0]
+    # doubling adds the weights in index order, whatever the batch; its
+    # parities (-1)^(#positive) become (-1)^(#negative), and delta_k = +1
+    # where bit k of the corner index is set
+    s, parity = _corner_shifts(w)
+    par = parity * (1.0 if m % 2 == 0 else -1.0)
+    up = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
     # P s_+^(m-3), P s_+^(m-2), P s_+^(m-1) by repeated products from the
     # step s_+^0 = [s >= 0]; negative powers vanish
     pos = np.maximum(s, 0.0)
@@ -158,7 +166,7 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
     # one pass sums the delta_k = +1 halves of P s_+^(m-2) (the full-table
     # derivative would average the two one-sided limits of the m = 2 box
     # density) and, in the last column, the whole of P s_+^(m-1)
-    sums = _corner_sum(np.concatenate([mid[:, :, None] * (signs > 0.0), top[:, :, None]], axis=2))
+    sums = _corner_sum(np.concatenate([mid[:, :, None] * up, top[:, :, None]], axis=2))
 
     prod = np.multiply.accumulate(w, axis=1)[:, -1]
     scale = 2.0 * math.pi / (2.0**m * math.factorial(m - 1) * prod)
@@ -167,7 +175,7 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
     reduced = scale[:, None] * w * phi
     grad = scale[:, None] * phi - value[:, None] / w
     if not hessian:
-        return _CornerRows(value, reduced, grad, None)
+        return _CornerRows(value, reduced, grad, None, None)
 
     inv = 1.0 / w
     hw = value[:, None, None] * (
@@ -175,17 +183,21 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
     ) - scale[:, None, None] * (
         phi[:, :, None] * inv[:, None, :] + inv[:, :, None] * phi[:, None, :]
     )
+    transverse = np.zeros(count)
     if m >= 3:
         # P s_+^(m-3) delta_j delta_k summed over the corners, in as few
         # column blocks as the budget allows
+        signs = 2.0 * up - 1.0
         signed = (low[:, :, None] * signs)[..., None]
         width = max(1, _CORNER_BUDGET // signed.size)
         cross = np.concatenate(
             [_corner_sum(signed * signs[:, None, k : k + width]) for k in range(0, m, width)],
             axis=2,
         )
-        hw += (scale * (m - 1) * (m - 2))[:, None, None] * cross
-    return _CornerRows(value, reduced, grad, hw)
+        curvature = scale * (m - 1) * (m - 2)
+        hw += curvature[:, None, None] * cross
+        transverse = curvature * cross[:, 0, 0] / 3.0
+    return _CornerRows(value, reduced, grad, hw, transverse)
 
 
 class _SincRows(NamedTuple):
@@ -193,7 +205,8 @@ class _SincRows(NamedTuple):
 
     Arrays are indexed like the input; coordinates off ``live`` (zero, or
     below the relative weight floor of their row) carry a zero reduced
-    term, gradient entry and Hessian row and column.
+    term and gradient entry, and a Hessian row and column that are zero
+    but for the transverse second derivative on the diagonal.
     """
 
     value: np.ndarray
@@ -209,8 +222,9 @@ def _sinc_rows(arr: np.ndarray, *, hessian: bool = False) -> _SincRows:
     ``arr`` is a ``(B, n)`` array of nonzero weight vectors.  Rows are
     grouped by their number of live coordinates, with one kernel call per
     group, so each row's numbers are the ones it gets alone.  Signs return
-    through ``sgn(a_k)``, and the Hessian is the true one only where every
-    coordinate is live.
+    through ``sgn(a_k)``.  The Hessian is exact at zero coordinates too:
+    there ``I`` is even, so only the transverse ``(2 pi / 3) f_live''(0)``
+    survives, on the diagonal.
     """
     count, n = arr.shape
     mag = np.abs(arr)
@@ -233,6 +247,8 @@ def _sinc_rows(arr: np.ndarray, *, hessian: bool = False) -> _SincRows:
             full[sel[:, None, None], cols[:, :, None], cols[:, None, :]] = (
                 sgn[:, :, None] * sgn[:, None, :] * rows.hessian
             )
+            row, dead = np.nonzero(~live[sel])
+            full[sel[row], dead, dead] = rows.transverse[row]
     return _SincRows(value, live, reduced, grad, full)
 
 

@@ -46,7 +46,7 @@ difference of two CDFs near 1/2 would.  A single facet
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -92,21 +92,12 @@ _TABLE_BLOCK_BITS = 14
 _MERGE_REL_TOL = 1e-13
 
 
-@lru_cache(maxsize=32)
-def _sign_patterns(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """All sign vectors in {-1,+1}^m and the parity (-1)^(#positive)."""
-    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
-    signs = (2 * bits - 1).astype(float)
-    parity = np.where(bits.sum(axis=1) % 2 == 0, 1.0, -1.0)
-    return signs, parity
-
-
 def _corner_shifts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corner sums ``s_eps = eps . w`` and parities ``(-1)^(#positive)``.
 
     ``w`` is one weight vector or a ``(B, m)`` batch, one per row; the
-    ``2^m`` sums run along the last axis in the index order of
-    :func:`_sign_patterns`.  They are built by doubling, ``s + w_k`` above
+    ``2^m`` sums run along the last axis, with ``eps_k = +1`` where bit
+    ``k`` of the index is set.  They are built by doubling, ``s + w_k`` above
     ``s - w_k``, so each is the sequential sum
     ``((eps_0 w_0 + eps_1 w_1) + eps_2 w_2) + ...`` and the complement
     pattern gives its exact negative.  The parities are ``int8``, and

@@ -9,8 +9,10 @@ table (:func:`cube_sections.criticality._corner_rows`) for the rows that
 need an exact Jacobian and one for the rows trying a step, and every row
 takes exactly the steps it would take alone, so a seed's result does not
 depend on the batch it runs in.  Converged points are folded into the
-closed positive orthant, deduplicated, and classified by the eigenvalues
-of a finite-difference tangent Hessian.
+closed positive orthant, deduplicated, and classified: kinks by their
+degenerate verdicts, every other point by the eigenvalues of the exact
+tangent Hessian, read off the same corner table as Newton's Jacobian, with
+a sign probe of the volume where that Hessian is degenerate.
 
 Directions with zero coordinates are genuine non-smooth points.  Rows
 whose coordinates collapse below a threshold, or whose line search stalls
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import _corner_rows, _degenerate_verdict, _sinc_rows
+from .criticality import _corner_rows, _degenerate_verdict, _sinc_rows, _sinc_table
 from .sections import _central, _normalized, diagonal_direction
 from .weights import InvalidInputError, _unit_vector, as_unit_vector, as_weight_vector
 
@@ -47,12 +49,10 @@ __all__ = [
 _NEWTON_MAX_ITERS = 60
 _NEWTON_TOL = 1e-11
 _DEDUP_TOL = 1e-6
-_CLASSIFY_STEP = 1e-4
 _ZERO_COORD_TOL = 1e-7
 _CERTIFY_TOL = 1e-8
 _SNAP_TOL = 1e-7
 _CLASSIFY_EIG_TOL = 1e-6
-_GLOBAL_VALUE_TOL = 1e-9
 # each coordinate below ~1e-3 costs the corner-table gradient and Hessian
 # roughly three digits (the alternating corner sums are divided by the
 # weight product), so once Newton stalls with coordinates this small its
@@ -401,89 +401,72 @@ _PROBE_STEP = 3e-2
 _PROBE_NOISE = 1e-9
 
 
+def _tangent_hessian(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hessian of ``sigma`` on the sphere at a critical unit ``u``, and its chart.
+
+    ``sigma = |a| I(a)`` has degree 0, so on the orthonormal tangent basis
+    ``B`` (the right singular vectors of ``u`` past the first) its Hessian
+    is ``I(u) Id + B^T (d2I) B``, read off one corner table.
+    """
+    basis = np.linalg.svd(u[None, :])[2][1:].T
+    table = _sinc_table(u, hessian=True)
+    return table.value * np.eye(basis.shape[1]) + basis.T @ table.hessian @ basis, basis
+
+
 def classify_critical_point(u) -> str:
     """Classify a critical direction by its behavior on the tangent sphere.
 
-    The normalized section volume is sampled on a tangent chart through
-    ``u``; second differences at steps 1e-4 and 5e-5, Richardson
-    extrapolated, give the Hessian, whose eigenvalue signs yield
-    ``local-min``/``local-max``/``saddle``.  Diagonal directions can be
-    Hessian-degenerate (the second-order terms cancel identically and the
-    character is quartic), so near-zero eigenvalues trigger a direct sign
-    probe of symmetric differences along the eigenvector fan.  Points
-    attaining the extreme values pi and sqrt(2) pi are promoted to
-    ``global-min`` and ``global-max``.
+    Coordinate directions and two-coordinate diagonals sit on kinks, where
+    :func:`~cube_sections.criticality.criticality_residuals` calls them
+    degenerate; they attain the extreme values pi and sqrt(2) pi and are
+    ``global-min`` and ``global-max``.  Elsewhere the eigenvalue signs of
+    the exact tangent Hessian (:func:`_tangent_hessian`), zero coordinates
+    included, yield ``local-min``/``local-max``/``saddle``.  Diagonal
+    directions can be Hessian-degenerate (the second-order terms cancel
+    and the character is cubic or quartic), so near-zero eigenvalues
+    trigger a direct sign probe of the section volume along an
+    eigenvector fan.
     """
     u = as_unit_vector(u)
-    # orthonormal tangent basis: the right singular vectors past the first
-    basis = np.linalg.svd(u[None, :])[2][1:].T
-    d = basis.shape[1]
-
-    def value(t: np.ndarray) -> float:
-        return _normalized(u + basis @ t)
-
-    f0 = value(np.zeros(d))
-
-    def hessian(hh: float) -> np.ndarray:
-        H = np.empty((d, d))
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = hh
-            H[i, i] = (value(ei) - 2.0 * f0 + value(-ei)) / hh**2
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = hh
-                H[i, j] = (
-                    value(ei + ej) - value(ei - ej) - value(-ei + ej) + value(-ei - ej)
-                ) / (4.0 * hh**2)
-                H[j, i] = H[i, j]
-        return H
-
-    H = (4.0 * hessian(_CLASSIFY_STEP / 2.0) - hessian(_CLASSIFY_STEP)) / 3.0
+    degenerate = _degenerate_verdict(u)
+    if degenerate is not None:
+        return "global-min" if degenerate == "degenerate-min" else "global-max"
+    H, basis = _tangent_hessian(u)
     eigs, vecs = np.linalg.eigh(H)
     if np.all(np.abs(eigs) >= _CLASSIFY_EIG_TOL):
         if np.all(eigs > 0.0):
-            label = "local-min"
-        elif np.all(eigs < 0.0):
-            label = "local-max"
-        else:
-            label = "saddle"
-    else:
-        # Hessian-degenerate point: the leading tangent behavior can be
-        # cubic (odd), so probe one-sided differences over an eigenvector
-        # fan and both orientations of every direction.
-        directions = [vecs[:, i] for i in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                directions.append((vecs[:, i] + vecs[:, j]) / math.sqrt(2.0))
-                directions.append((vecs[:, i] - vecs[:, j]) / math.sqrt(2.0))
-                directions.append((vecs[:, i] + 2.0 * vecs[:, j]) / math.sqrt(5.0))
-                directions.append((2.0 * vecs[:, i] - vecs[:, j]) / math.sqrt(5.0))
-        seen_pos = seen_neg = seen_flat = False
-        for v in directions:
-            for sign in (1.0, -1.0):
-                g = value(sign * _PROBE_STEP * v) - f0
-                if g > _PROBE_NOISE:
-                    seen_pos = True
-                elif g < -_PROBE_NOISE:
-                    seen_neg = True
-                else:
-                    seen_flat = True
-        if seen_pos and seen_neg:
-            label = "saddle"
-        elif seen_flat or not (seen_pos or seen_neg):
-            label = "undetermined"
-        else:
-            label = "local-min" if seen_pos else "local-max"
+            return "local-min"
+        if np.all(eigs < 0.0):
+            return "local-max"
+        return "saddle"
 
-    if label == "saddle" or label == "undetermined":
-        return label
-    sigma = _normalized(u)
-    if label == "local-min" and abs(sigma - math.pi) <= _GLOBAL_VALUE_TOL:
-        return "global-min"
-    if label == "local-max" and abs(sigma - math.sqrt(2.0) * math.pi) <= _GLOBAL_VALUE_TOL:
-        return "global-max"
-    return label
+    # Hessian-degenerate point: the leading tangent behavior can be cubic
+    # (odd), so probe one-sided differences over an eigenvector fan and both
+    # orientations of every direction.
+    d = basis.shape[1]
+    f0 = _normalized(u)
+    directions = [vecs[:, i] for i in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            directions.append((vecs[:, i] + vecs[:, j]) / math.sqrt(2.0))
+            directions.append((vecs[:, i] - vecs[:, j]) / math.sqrt(2.0))
+            directions.append((vecs[:, i] + 2.0 * vecs[:, j]) / math.sqrt(5.0))
+            directions.append((2.0 * vecs[:, i] - vecs[:, j]) / math.sqrt(5.0))
+    seen_pos = seen_neg = seen_flat = False
+    for v in directions:
+        for sign in (1.0, -1.0):
+            g = _normalized(u + basis @ (sign * _PROBE_STEP * v)) - f0
+            if g > _PROBE_NOISE:
+                seen_pos = True
+            elif g < -_PROBE_NOISE:
+                seen_neg = True
+            else:
+                seen_flat = True
+    if seen_pos and seen_neg:
+        return "saddle"
+    if seen_flat or not (seen_pos or seen_neg):
+        return "undetermined"
+    return "local-min" if seen_pos else "local-max"
 
 
 def _diagonal_index(canonical: np.ndarray) -> int | None:

@@ -19,7 +19,6 @@ from cube_sections.density import (
     _density_and_spread,
     _facet_marginals,
     _facet_sums,
-    _sign_patterns,
     cdf_at,
     characteristic_function,
     density_at,
@@ -397,9 +396,12 @@ def test_point_evaluators_above_exact_limit_equal_fsum(m):
 @pytest.mark.parametrize("m", range(1, 15))
 def test_corner_shifts_are_sequential_sums(m):
     # doubling adds eps_k w_k in index order, as cumsum does, with weights
-    # spread over nine decades; the parities are the sign table's
+    # spread over nine decades; eps_k = +1 where bit k of the index is set,
+    # and the parities are (-1)^(#positive)
     rng = np.random.default_rng(m)
-    signs, parity = _sign_patterns(m)
+    bits = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+    signs = 2.0 * bits - 1.0
+    parity = np.where(bits.sum(axis=1) % 2 == 0, 1, -1)
     w = 10.0 ** rng.uniform(-9.0, 0.0, m)
     shifts, par = _corner_shifts(w)
     assert np.array_equal(shifts, np.cumsum(w * signs, axis=1)[:, -1])
@@ -439,9 +441,8 @@ def test_density_and_spread_match_the_separate_sums(m):
 
 def test_large_corner_tables_are_neither_built_nor_cached():
     # at m = 16 one column of corner sums takes 2^16 floats; a 16-column
-    # sign table would take 8 MB, and nothing may be left in the cache
+    # sign table would take 8 MB, and nothing is cached between calls
     column = 2**16 * 8
-    cached = _sign_patterns.cache_info().currsize
     a = np.random.default_rng(16).uniform(0.25, 1.0, 16)
     for run in (lambda: density_at(a, 0.1), lambda: sections.section_report(a)):
         tracemalloc.start()
@@ -451,7 +452,6 @@ def test_large_corner_tables_are_neither_built_nor_cached():
         finally:
             tracemalloc.stop()
         assert peak < 4 * column
-    assert _sign_patterns.cache_info().currsize == cached
 
 
 # -- one corner table for every facet -------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from cube_sections.search import (
     _scan_seeds,
     _snap_rows,
     _solve_rows,
+    _tangent_hessian,
     canonicalize,
     classify_critical_point,
     refine_critical,
     scan,
 )
-from cube_sections.sections import diagonal_direction
+from cube_sections.sections import diagonal_direction, normalized_section
 from cube_sections.weights import InvalidInputError
 
 SQRT10 = math.sqrt(10.0)
@@ -191,20 +194,102 @@ def test_solve_rows_loses_only_the_singular_row():
 # -- classification ------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "direction,expected",
-    [
-        (diagonal_direction(1, 3), "global-min"),
-        (diagonal_direction(2, 3), "global-max"),
-        (diagonal_direction(3, 3), "saddle"),
-        (diagonal_direction(1, 4), "global-min"),
-        (diagonal_direction(2, 4), "global-max"),
-        (diagonal_direction(3, 4), "saddle"),
-        (diagonal_direction(4, 4), "local-max"),
-    ],
-)
+def _diagonal_label(k, n):
+    if k == 1:
+        return "global-min"
+    if k == 2:
+        return "global-max"
+    return "local-max" if k == n >= 4 else "saddle"
+
+
+def _diagonals():
+    """Every k-diagonal of n = 3..8 as scan reports it, then permuted and with random signs."""
+    rng = np.random.default_rng(0)
+    cases = [(k, n) for n in range(3, 9) for k in range(1, n + 1)]
+    canonical = [diagonal_direction(k, n) for k, n in cases]
+    signed = [u[rng.permutation(u.size)] * rng.choice([-1.0, 1.0], u.size) for u in canonical]
+    labels = [_diagonal_label(k, n) for k, n in cases]
+    return list(zip(canonical + signed, labels + labels))
+
+
+@pytest.mark.parametrize("direction,expected", _diagonals())
 def test_classify_diagonals(direction, expected):
+    # a k-diagonal with 3 < k < n is a saddle through its zero coordinates;
+    # at k = 4 the curvature into them vanishes and the volume rises at
+    # third order, which the probe fan sees
     assert classify_critical_point(direction) == expected
+
+
+def _exact_central_density(w) -> Fraction:
+    """``f_w(0)`` of nonzero rational weights, an exact corner sum."""
+    total = Fraction(0)
+    for signs in itertools.product((-1, 1), repeat=len(w)):
+        s = sum(d * x for d, x in zip(signs, w))
+        if s > 0:
+            total += (-1) ** signs.count(-1) * s ** (len(w) - 1)
+    return total / (2 ** len(w) * math.factorial(len(w) - 1) * math.prod(w))
+
+
+def test_four_diagonal_of_five_rises_into_its_zero_coordinate():
+    # sigma(a) = |a| 2 pi f_a(0), so sigma(eps, 1/2, 1/2, 1/2, 1/2) exceeds
+    # sigma at eps = 0 exactly when (1 + eps^2) f_a(0)^2 exceeds f(0)^2 of
+    # the four halves; the excess grows about 26-fold from eps = 1/100 to
+    # 3/100, the cube law's 27 rather than a square law's 9
+    half = [Fraction(1, 2)] * 4
+    rise = [
+        (1 + eps**2) * _exact_central_density([eps, *half]) ** 2 - _exact_central_density(half) ** 2
+        for eps in (Fraction(1, 100), Fraction(3, 100))
+    ]
+    assert rise[0] > 0
+    assert 20 < rise[1] / rise[0] < 30
+
+
+def _richardson_tangent_hessian(u, step=1e-4):
+    """Tangent Hessian of ``sigma`` at ``u`` from second differences.
+
+    Second differences of :func:`normalized_section` on the chart
+    ``t -> u + B t`` of the tangent basis ``B``, at ``step / 2`` and
+    ``step``, Richardson extrapolated: a reference that reads volumes only.
+    """
+    basis = np.linalg.svd(u[None, :])[2][1:].T
+    d = basis.shape[1]
+
+    def value(t):
+        return normalized_section(u + basis @ t)
+
+    f0 = value(np.zeros(d))
+
+    def hessian(h):
+        H = np.empty((d, d))
+        for i, j in itertools.combinations_with_replacement(range(d), 2):
+            ei, ej = h * np.eye(d)[i], h * np.eye(d)[j]
+            if i == j:
+                H[i, i] = (value(ei) - 2.0 * f0 + value(-ei)) / h**2
+            else:
+                H[i, j] = H[j, i] = (
+                    value(ei + ej) - value(ei - ej) - value(-ei + ej) + value(-ei - ej)
+                ) / (4.0 * h**2)
+        return H
+
+    return (4.0 * hessian(step / 2.0) - hessian(step)) / 3.0
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        diagonal_direction(4, 4),
+        SPECIAL,
+        [0.2552, 0.2552, 0.2552, 0.6343, 0.6343],
+        [0.2184, 0.2184, 0.2184, 0.2184, 0.6361, 0.6361],
+    ],
+    ids=["4-diagonal", "1122", "n5-3-2", "n6-4-2"],
+)
+def test_tangent_hessian_matches_finite_differences(seed):
+    u = refine_critical(seed)
+    assert u is not None and np.max(np.abs(u - np.asarray(seed) / np.linalg.norm(seed))) < 1e-3
+    exact = np.linalg.eigvalsh(_tangent_hessian(u)[0])
+    reference = np.linalg.eigvalsh(_richardson_tangent_hessian(u))
+    np.testing.assert_allclose(exact, reference, rtol=0.0, atol=1e-3)
 
 
 def test_classify_special_direction():
