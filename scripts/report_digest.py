@@ -5,7 +5,10 @@ every report's ``volume``, ``facet_section_volumes``, ``cone_volumes`` and
 ``cone_sum``, in direction order.  The sets are the ``report-highdim``
 benchmark directions (coordinate magnitudes in [0.25, 1] with random signs,
 n = 10..18) for rng seeds 1, 7 and 11, and 15 standard-normal directions per
-n = 10..18.  A last line gives the SHA-256 of the CSV that
+n = 10..18.  One more line digests, for the first set, ``facet_section_volume``
+and ``slab_identity_check`` at every facet ``k``, each computed alone from
+its own corner table rather than the report's shared one.  A last line
+gives the SHA-256 of the CSV that
 ``cli.main(["fig1-grid", "--resolution", "91"])`` prints, the Figure 1 grid
 of 16,471 three-dimensional central volumes.  Run it once per checkout, for
 example
@@ -145,6 +148,17 @@ def main():
             line += f" max_rel_err={max(errors):.3g} median_rel_err={statistics.median(errors):.3g}"
             line += f" facet_max_rel_err={max(facet_errors):.3g} spread_max_rel_err={max(spread_errors):.3g}"
         print(line, flush=True)
+
+    name, directions = next(direction_sets())
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    for a in directions:
+        for k in range(a.size):
+            values = [sections.facet_section_volume(a, k), *sections.slab_identity_check(a, k)]
+            digest.update(np.asarray(values, dtype=float).tobytes())
+    elapsed = time.perf_counter() - start
+    facets = sum(a.size for a in directions)
+    print(f"lone facets {name} facets={facets} sha256={digest.hexdigest()} seconds={elapsed:.2f}", flush=True)
 
     start = time.perf_counter()
     csv = io.StringIO()

@@ -10,11 +10,9 @@ constructions are provided:
       f(x) = (2^m m! prod w_i)^{-1} * sum_eps (-1)^{|eps|} (x - s_eps)_+^{m-1}
 
   over the ``2^m`` sign patterns ``s_eps = sum_i +-w_i`` of the ``m``
-  nonzero weights.  Up to ``EXACT_CORNER_WEIGHTS`` weights each piece's
-  coefficients are exact rationals rounded once; beyond that the
-  alternating sum is evaluated with compensated summation.  Only the left
-  half of the support is built directly; the right half is mirrored, which
-  makes the result exactly even.
+  nonzero weights.  Each piece's coefficients are exact rationals rounded
+  once.  Only the left half of the support is built directly; the right
+  half is mirrored, which makes the result exactly even.
 
 * ``density_by_convolution`` folds in one uniform factor at a time using
   the antiderivative identity ``g(x) = (F(x+w) - F(x-w)) / (2w)``.
@@ -39,8 +37,8 @@ Facet ``k`` is the half of the table with ``-w_k``; one pairwise fold sums
 every half, and the table is built in blocks, so memory stays flat.  The
 spread is one corner sum of its own, so it does not cancel as the
 difference of two CDFs near 1/2 would.  A single facet
-(``_density_and_spread``) is the top half of the table of the weights and
-``x``.
+(``_density_and_spread``) reads the point-density table of its weights,
+``x - s_eps`` as ``density_at`` builds it, for both sums.
 """
 
 from __future__ import annotations
@@ -63,9 +61,9 @@ __all__ = [
     "MAX_CLOSED_FORM_WEIGHTS",
 ]
 
-# catastrophic cancellation in the alternating truncated-power sum limits
-# the closed form to a few dozen weights; every supported computation stays
-# far below this.
+# catastrophic cancellation in the float corner sums, and the cost of the
+# exact ones, limit the truncated-power expansion to a few dozen weights;
+# every supported computation stays far below this.
 MAX_CLOSED_FORM_WEIGHTS = 20
 
 # point evaluations and slab spreads with at most this many nonzero weights
@@ -172,7 +170,7 @@ def density_closed_form(a) -> PiecewisePolynomial:
         h = float(w[0])
         return PiecewisePolynomial(np.array([-h, h]), np.array([[0.5 / h]]))
 
-    shifts, parity = _corner_shifts(w)
+    shifts, _ = _corner_shifts(w)
     span = 2.0 * float(np.sum(w))
     bp = _merged_breakpoints(shifts, span)
     tol = _MERGE_REL_TOL * span
@@ -181,18 +179,7 @@ def density_closed_form(a) -> PiecewisePolynomial:
     npieces = mids.size
     coeffs = np.zeros((npieces, m))
     left = int(np.count_nonzero(mids <= tol))  # the right half is mirrored below
-    if m <= EXACT_CORNER_WEIGHTS:
-        coeffs[:left] = _exact_piece_coefficients(w, mids[:left], bp[:left] + tol)
-    else:
-        scale = 1.0 / (2.0**m * float(np.prod(w)) * math.factorial(m - 1))
-        binoms = [math.comb(m - 1, i) for i in range(m)]
-        for j in range(left):
-            included = shifts <= bp[j] + tol
-            deltas = mids[j] - shifts[included]
-            par = parity[included]
-            for i in range(m):
-                terms = par * deltas ** (m - 1 - i)
-                coeffs[j, i] = scale * binoms[i] * math.fsum(terms)
+    coeffs[:left] = _exact_piece_coefficients(w, mids[:left], bp[:left] + tol)
     # the straddling piece is an even polynomial; enforce it exactly
     coeffs[np.flatnonzero(np.abs(mids[:left]) <= tol), 1::2] = 0.0
     for j in range(npieces):
@@ -429,51 +416,49 @@ def _positive_powers(d: np.ndarray, parity: np.ndarray, p: int) -> np.ndarray:
     return terms
 
 
-def _term_blocks(w: np.ndarray, c: int, blocks, positive: bool = False):
+def _spread_terms(t: np.ndarray, parity: np.ndarray, p: int) -> np.ndarray:
+    """The terms ``P sgn(t)^(p+1) |t|^p``; an odd ``p`` has no sign to keep and works in ``t``."""
+    spread = np.abs(t, out=t if p % 2 else None)
+    np.power(spread, p, out=spread)
+    if p % 2 == 0:
+        np.copysign(spread, t, out=spread)
+    spread *= parity
+    return spread
+
+
+def _term_blocks(w: np.ndarray, c: int):
     """The facet terms of the corner table of ``w``, one block at a time.
 
     With ``s`` the corner sums, ``P`` the parities and ``T = -s``, yields
-    for each block ``b`` in ``blocks``, the ``2^c`` corners whose high bits
-    are ``b``, the density terms ``P T_+^(m-2)`` and the spread terms
-    ``P sgn(T)^m |T|^(m-1)``.  With ``positive`` the density terms are
-    only those of the corners with ``T > 0``, in table order: enough for a
-    block that is summed whole, and no powers of the other corners.
-    A block's corner sums are the table of ``w[:c]`` plus the block's
-    signed high weights, added in the doubling order of
-    :func:`_corner_shifts`, so they are bitwise the full table's; ``T`` is
-    built from ``-w``, which rounds symmetrically.  The last block works in
-    the low table itself.
+    for each block ``b``, the ``2^c`` corners whose high bits are ``b``, in
+    table order, the density terms ``P T_+^(m-2)`` and the spread terms
+    ``P sgn(T)^m |T|^(m-1)``.  A block's corner sums are the table of
+    ``w[:c]`` plus the block's signed high weights, added in the doubling
+    order of :func:`_corner_shifts`, so they are bitwise the full table's;
+    ``T`` is built from ``-w``, which rounds symmetrically.  The last block
+    works in the low table itself.
     """
     m = w.size
     low, low_parity = _corner_shifts(-w[:c])
-    last = len(blocks) - 1
-    for i, b in enumerate(blocks):
-        t = low if i == last else low.copy()
+    last = (1 << (m - c)) - 1
+    for b in range(last + 1):
+        t = low if b == last else low.copy()
         for k in range(c, m):
             if b >> (k - c) & 1:
                 t -= w[k]
             else:
                 t += w[k]
         parity = -low_parity if bin(b).count("1") % 2 else low_parity
-        if positive:
-            density = _positive_powers(t, parity, m - 2)
-        else:
-            density = np.power(t, m - 2, out=np.zeros_like(t), where=t > 0.0)
-            density *= parity
-        # an odd m keeps T for the signs of its spread terms
-        spread = np.abs(t, out=None if m % 2 else t)
-        np.power(spread, m - 1, out=spread)
-        if m % 2:
-            np.copysign(spread, t, out=spread)
-        spread *= parity
-        yield density, spread
+        density = np.power(t, m - 2, out=np.zeros_like(t), where=t > 0.0)
+        density *= parity
+        yield density, _spread_terms(t, parity, m - 1)
 
 
 def _block_bits(m: int) -> int:
     """Low index bits per block of the table of ``m`` weights.
 
-    The top bit is always a high one, so the top facet alone, the view of
-    :func:`_density_and_spread`, is whole blocks and half the table.
+    At most ``_TABLE_BLOCK_BITS``, and the top bit is always a high one, so
+    no block is more than half the table.
     """
     return min(m - 1, _TABLE_BLOCK_BITS)
 
@@ -481,10 +466,11 @@ def _block_bits(m: int) -> int:
 def _half_terms(w: np.ndarray, kind: int, k: int):
     """The terms of one kind (0 density, 1 spread) over the corners with bit ``k`` = 0."""
     c = _block_bits(w.size)
-    blocks = [b for b in range(1 << (w.size - c)) if k < c or not b >> (k - c) & 1]
-    for terms in _term_blocks(w, c, blocks):
-        x = terms[kind] if k >= c else terms[kind].reshape(-1, 2, 1 << k)[:, 0]
-        yield from x.ravel().tolist()
+    for b, terms in enumerate(_term_blocks(w, c)):
+        if k < c:
+            yield from terms[kind].reshape(-1, 2, 1 << k)[:, 0].ravel().tolist()
+        elif not b >> (k - c) & 1:
+            yield from terms[kind].tolist()
 
 
 def _lower_halves(x: np.ndarray, err: np.ndarray, mag: float) -> list[tuple]:
@@ -516,35 +502,29 @@ def _joined(folds: list[tuple]) -> tuple:
     return pieces, err + sum(fold[1] for fold in folds), mag + sum(fold[2] for fold in folds)
 
 
-def _facet_sums(w: np.ndarray, facets) -> tuple[list[float], list[float]]:
+def _facet_sums(w: np.ndarray) -> tuple[list[float], list[float]]:
     """The density and spread terms of :func:`_term_blocks` summed over bit ``k`` = 0.
 
-    One sum of each kind per ``k`` in ``facets``, each within an ulp of
-    ``math.fsum`` over its half; only the blocks and sums these need are
-    built.  The low ``c`` bits come from the blocks added entry by entry
-    with TwoSum, then folded by :func:`_lower_halves`.  A high bit's half
-    is a set of whole blocks, each carried exactly as the floats
-    :func:`_folded` leaves, which are folded once more together.  Every
-    float sum of errors is at most 125 additions deep for 20 weights, so
-    inexact by less than ``2^-46`` times its magnitude, as
+    One sum of each kind per bit ``k``, each within an ulp of
+    ``math.fsum`` over its half.  The low ``c`` bits come from the blocks
+    added entry by entry with TwoSum, then folded by :func:`_lower_halves`.
+    A high bit's half is a set of whole blocks, each carried exactly as the
+    floats :func:`_folded` leaves, which are folded once more together.
+    Every float sum of errors is at most 125 additions deep for 20 weights,
+    so inexact by less than ``2^-46`` times its magnitude, as
     :func:`_rounded` needs.
     """
     m = w.size
     c = _block_bits(m)
-    low = any(k < c for k in facets)
-    high = [k - c for k in facets if k >= c]
-    blocks = [b for b in range(1 << (m - c)) if low or any(not b >> j & 1 for j in high)]
+    last = (1 << (m - c)) - 1
     # per kind: the sum over blocks entry by entry, its errors and their
-    # magnitude, and the fold of each block some high bit's half takes
-    rows, errs, mags, folds = [None, None], [None, None], [0.0, 0.0], ({}, {})
-    # with no low bit asked for, every block is summed whole
-    for b, terms in zip(blocks, _term_blocks(w, c, blocks, positive=not low)):
-        whole = any(not b >> j & 1 for j in high)
+    # magnitude, and the fold of each block but the last, which is in no
+    # high bit's half
+    rows, errs, mags, folds = [None, None], [None, None], [0.0, 0.0], ([], [])
+    for b, terms in enumerate(_term_blocks(w, c)):
         for kind, x in enumerate(terms):
-            if whole:
-                folds[kind][b] = _folded(x)
-            if not low:
-                continue
+            if b != last:
+                folds[kind].append(_folded(x))
             if rows[kind] is None:
                 rows[kind], errs[kind] = x, np.zeros_like(x)
                 continue
@@ -552,14 +532,12 @@ def _facet_sums(w: np.ndarray, facets) -> tuple[list[float], list[float]]:
             errs[kind] += e
             mags[kind] += np.sum(np.abs(e, out=e))
     sums = ([], [])
-    for kind in (0, 1):
-        lower = _lower_halves(rows[kind], errs[kind], mags[kind]) if low else []
-        for k in facets:
-            if k < c:
-                part = lower[k]
-            else:
-                part = _joined([fold for b, fold in folds[kind].items() if not b >> (k - c) & 1])
-            sums[kind].append(_rounded(*part, partial(_half_terms, w, kind, k)))
+    for kind, half in enumerate(sums):
+        parts = _lower_halves(rows[kind], errs[kind], mags[kind])
+        for j in range(m - c):
+            parts.append(_joined([fold for b, fold in enumerate(folds[kind]) if not b >> j & 1]))
+        for k, part in enumerate(parts):
+            half.append(_rounded(*part, partial(_half_terms, w, kind, k)))
     return sums
 
 
@@ -587,7 +565,7 @@ def _facet_marginals(w: np.ndarray) -> list[tuple[float, float]]:
     """
     _check_weight_count(w.size - 1)
     order = np.argsort(-w, kind="stable")
-    densities, spreads = _facet_sums(w[order], range(w.size))
+    densities, spreads = _facet_sums(w[order])
     bit = np.argsort(order)
     out = []
     for k in range(w.size):
@@ -614,9 +592,8 @@ def _density_and_spread(w: np.ndarray, x: float) -> tuple[float, float]:
     and whose parity is ``P' = (-1)^m P``.  The spread is one sum, so it
     does not cancel as the difference of two CDFs near 1/2 would.  Up to
     ``EXACT_CORNER_WEIGHTS`` weights both are exact and rounded once.
-    Beyond that they are the top facet of :func:`_facet_sums` over ``w``
-    and ``x``, whose ``T`` on the top bit's lower half is ``d`` bit for bit,
-    so the density is :func:`density_at`'s to an ulp.
+    Beyond that both sum the float terms of one table of ``d`` with
+    :func:`_compensated_sum`, so the density is :func:`density_at`'s.
     """
     m = w.size
     _check_weight_count(m)
@@ -629,8 +606,10 @@ def _density_and_spread(w: np.ndarray, x: float) -> tuple[float, float]:
         return density, spread / (den * m)
     if x >= float(np.sum(w)):
         return 0.0, 1.0
-    (density,), (spread,) = _facet_sums(np.append(w, x), [m])
-    return _scaled_facet(w, density, spread)
+    d, parity = _corner_shifts(w)
+    np.subtract(x, d, out=d)
+    density = _compensated_sum(_positive_powers(d, parity, m - 1))
+    return _scaled_facet(w, density, _compensated_sum(_spread_terms(d, parity, m)))
 
 
 def density_at(a, r: float) -> float:

@@ -129,25 +129,21 @@ def _gap_rows(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def _certified_rows(a: np.ndarray) -> np.ndarray:
     """Whether each row of ``a`` is certified critical.
 
-    A row is certified when its balance residuals are within 1e-8 or
-    :func:`~cube_sections.criticality.criticality_residuals` calls it
-    degenerate, and its stationarity gap is within 1e-8.  The residual
-    tables at the unit rows and the gap tables at the rows themselves come
-    from one :func:`~cube_sections.criticality._sinc_rows` call, which
-    makes one kernel call per live count.
+    A row is certified when, at its unit vector, the balance residuals are
+    within 1e-8 or :func:`~cube_sections.criticality.criticality_residuals`
+    calls it degenerate, and the stationarity gap is within 1e-8.  Both
+    come from one :func:`~cube_sections.criticality._sinc_rows` table of
+    the unit rows, which makes one kernel call per live count.
     """
-    count = len(a)
     u = np.empty_like(a)
     for i, row in enumerate(a):
         u[i] = _unit_vector(row)
-    table = _sinc_rows(np.concatenate([u, a]))
-    sigma = table.value[:count, None]
-    residuals = np.where(
-        table.live[:count], (table.reduced[:count] - sigma * (1.0 - u**2)) / sigma, 0.0
-    )
+    table = _sinc_rows(u)
+    sigma = table.value[:, None]
+    residuals = np.where(table.live, (table.reduced - sigma * (1.0 - u**2)) / sigma, 0.0)
     balanced = np.abs(residuals).max(axis=1) <= _CERTIFY_TOL
     degenerate = np.array([_degenerate_verdict(row) is not None for row in u], dtype=bool)
-    return (balanced | degenerate) & (_gap_rows(a, table.grad[count:]) <= _CERTIFY_TOL)
+    return (balanced | degenerate) & (_gap_rows(u, table.grad) <= _CERTIFY_TOL)
 
 
 def _snap_rows(a: np.ndarray) -> np.ndarray:

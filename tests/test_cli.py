@@ -265,6 +265,18 @@ def test_verify_three_dim_classification(capsys):
     assert all(line.startswith("PASS: ") for line in lines[:-1])
 
 
+def test_verify_four_dim_critical_directions(capsys):
+    code, out = run(capsys, "verify", "--thm", "3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-1] == "PASS"
+    # the triple-equal system's root below the interior bound is reported
+    # beside the checks
+    checks = [line for line in lines[:-1] if not line.startswith("rejected triple root: ")]
+    assert len(checks) == len(lines) - 2
+    assert all(line.startswith("PASS: ") for line in checks)
+
+
 # -- argument errors -------------------------------------------------------------------
 
 

@@ -169,6 +169,25 @@ def test_closed_form_equals_convolution(w, fracs):
         assert abs(f(x) - g(x)) <= 1e-10 * peak
 
 
+@pytest.mark.parametrize("m", [9, 10])
+def test_closed_form_above_eight_weights(m):
+    # the pieces are exact rationals rounded once at every size: normalized,
+    # on the convolution density, and each local coefficient the Taylor
+    # coefficient f^(i)(mid) / i! of the exact corner sum
+    rng = np.random.default_rng(600 + m)
+    w = rng.uniform(0.25, 1.0, m)
+    f = density_closed_form(w)
+    assert abs(f.total_integral - 1.0) <= 1e-13
+    g = density_by_convolution(w)
+    xs = np.linspace(-1.05, 1.05, 401) * float(np.sum(w))
+    peak = max(float(np.max(np.abs(f.coefficients))), 1.0)
+    assert np.max(np.abs(f(xs) - g(xs))) <= 1e-10 * peak
+    j = f.midpoints.size // 3
+    mid = float(f.midpoints[j])
+    want = [float(_fraction_power_sum(w, mid, m - 1 - i) / math.factorial(i)) for i in range(m)]
+    assert f.coefficients[j].tolist() == want
+
+
 def test_convolution_agreement_dense_grid():
     w = (1.0, 1.0, 2.0, 2.0)
     f = density_closed_form(w)
@@ -465,10 +484,9 @@ def _lower_half(x, k):
 def _blocks_of(tables):
     """A stand-in for ``density._term_blocks`` that cuts up given tables."""
 
-    def blocks(_w, c, wanted, positive=False):
-        # the tables are cut whole: ``positive`` would only drop zero terms
+    def blocks(_w, c):
         rows = [table.reshape(-1, 1 << c) for table in tables]
-        return ((rows[0][b], rows[1][b]) for b in wanted)
+        return zip(rows[0], rows[1])
 
     return blocks
 
@@ -515,14 +533,11 @@ def test_facet_half_sums_within_an_ulp_of_fsum(m, high, kind, seed, fold):
             stack.enter_context(mock.patch.object(density, "_term_blocks", blocks))
         if fold:
             stack.enter_context(mock.patch.object(density, "_FSUM_TERMS", 2))
-        sums = _facet_sums(w, range(m))
-        # the top facet alone sums whole blocks of positive density terms
-        top = _facet_sums(w, [m - 1])
-    for table, got, got_top in zip(tables, sums, top):
+        sums = _facet_sums(w)
+    for table, got in zip(tables, sums):
         for k in range(m):
             want = math.fsum(_lower_half(table, k))
             assert abs(got[k] - want) <= np.spacing(abs(want))
-        assert abs(got_top[0] - want) <= np.spacing(abs(want))
 
 
 @pytest.mark.parametrize("m", [10, 13])
@@ -531,13 +546,10 @@ def test_term_blocks_are_the_unblocked_table(m):
     w = rng.uniform(0.25, 1.0, m)
     c = m - 3
     density_terms, spread_terms = _table_terms(w)
-    t = -_corner_shifts(w)[0]
-    full = list(density._term_blocks(w, c, range(8)))
+    full = list(density._term_blocks(w, c))
+    assert len(full) == 8
     assert np.array_equal(np.concatenate([d for d, _ in full]), density_terms)
     assert np.array_equal(np.concatenate([s for _, s in full]), spread_terms)
-    positive = list(density._term_blocks(w, c, range(8), positive=True))
-    assert np.array_equal(np.concatenate([d for d, _ in positive]), density_terms[t > 0.0])
-    assert np.array_equal(np.concatenate([s for _, s in positive]), spread_terms)
 
 
 def test_facet_half_sums_fall_back_to_fsum():
@@ -556,11 +568,16 @@ def test_facet_half_sums_fall_back_to_fsum():
         mock.patch.object(density, "_term_blocks", _blocks_of([table, table])),
         mock.patch.object(density, "_half_terms", spy),
     ):
-        sums = _facet_sums(np.ones(m), [m - 1])
+        sums = _facet_sums(np.ones(m))
     want = math.fsum(_lower_half(table, m - 1))
     assert want == 1e-30
-    assert sums == ([want], [want])
-    assert spy.call_args_list == [mock.call(mock.ANY, kind, m - 1) for kind in (0, 1)]
+    for got in sums:
+        assert got[m - 1] == want
+        for k in range(m):
+            half = math.fsum(_lower_half(table, k))
+            assert abs(got[k] - half) <= np.spacing(abs(half))
+    for kind in (0, 1):
+        assert mock.call(mock.ANY, kind, m - 1) in spy.call_args_list
 
 
 @pytest.mark.parametrize("m", [10, 13, 16])

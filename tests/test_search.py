@@ -23,7 +23,7 @@ from cube_sections.search import (
     scan,
 )
 from cube_sections.sections import diagonal_direction, normalized_section
-from cube_sections.weights import InvalidInputError
+from cube_sections.weights import InvalidInputError, as_unit_vector
 
 SQRT10 = math.sqrt(10.0)
 SPECIAL = np.array([1.0, 1.0, 2.0, 2.0]) / SQRT10
@@ -165,9 +165,13 @@ def _stationarity_gap(a):
 
 
 def _certified(a):
-    """The certificate of one direction, from the public residual report."""
+    """The certificate of one direction, from the public residual report.
+
+    Both the residuals and the gap are taken at the unit vector: off the
+    sphere a critical direction has a nonzero gap.
+    """
     report = criticality_residuals(a, tol=1e-8)
-    return report.verdict != "not-critical" and _stationarity_gap(a) <= 1e-8
+    return report.verdict != "not-critical" and _stationarity_gap(as_unit_vector(a)) <= 1e-8
 
 
 @given(_certification_rows())

@@ -378,6 +378,17 @@ def test_facet_functions_coordinate_direction():
     assert facet_section_volume(a, 0) == 2.0
 
 
+def test_dominant_weight_facet_is_empty():
+    # |u_0| = 11/sqrt(111) exceeds the sum of the other ten weights, so the
+    # plane misses facet 0 and its slab holds the whole rest; the shared
+    # table of the report and the lone facet both take that branch
+    u = as_unit_vector(np.r_[11.0, np.ones(10)])
+    report = section_report(u)
+    assert report.facet_section_volumes[0] == 0.0
+    assert report.cone_volumes[0] == 0.0
+    assert sections._all_facet_terms(u)[0] == sections._facet_terms(u, 0) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize(
     "a",
     [
