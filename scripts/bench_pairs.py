@@ -11,10 +11,14 @@ direction ``BENCHMARK.json`` declares.  For example
     python scripts/bench_pairs.py ../parent . --workload grid-n3 --seed 1 --pairs 10
 
 Each run writes its details to ``benchmarks/out/`` of its own checkout.
+Before the first pair it deletes ``src/cube_sections/__pycache__`` in both
+checkouts, so that neither side starts from compiled bytecode the other
+lacks: ``setup_s`` times fresh interpreters importing the package.
 """
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +63,11 @@ def main():
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    for side, tree in trees.items():
+        cache = tree / "src" / "cube_sections" / "__pycache__"
+        shutil.rmtree(cache, ignore_errors=True)
+        print(f"deleted {cache} ({side}) before the first pair", file=sys.stderr)
 
     results = {"parent": [], "change": []}
     for i in range(args.pairs):

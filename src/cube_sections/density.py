@@ -28,7 +28,10 @@ that agrees with ``math.fsum`` to an ulp; the float terms themselves still
 carry rounding errors, which cancel when some weights are small against the
 others.  The float corner sums are built by doubling (``_corner_shifts``),
 one ``2^m`` array per call and no cached table, and the terms are formed in
-place in it.
+place in it.  The central volumes of :mod:`cube_sections.sections` read
+``f(0)`` of a whole batch of rows with the same number of weights from one
+exact integer kernel (``_exact_central_densities``), bitwise ``density_at``
+of each row.
 
 The facet quantities of :mod:`cube_sections.sections` come from one table
 per direction (``_facet_marginals``): for each weight ``w_k``, the density
@@ -159,6 +162,12 @@ def density_closed_form(a) -> PiecewisePolynomial:
     Zero weights are dropped: they leave the distribution unchanged.  A
     single nonzero weight gives the uniform box of height ``1/(2|a|)``.
 
+    Each of the ~``2^m`` pieces sums up to ``2^m`` corner terms in Python
+    integers, so the cost grows about 4x per weight: one uniform [0.25, 1]
+    direction takes 0.07, 0.24 and 1.04 s at m = 9, 10 and 11 (2-core VM).
+    ``MAX_CLOSED_FORM_WEIGHTS = 20`` bounds the input, not the practical
+    size, which ends near a dozen weights.
+
     Raises
     ------
     InvalidInputError
@@ -286,6 +295,49 @@ def _exact_truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
     # the sum carries q^-p and the product q^-m, with p <= m
     den = 2 ** len(weights) * math.prod(weights) * math.factorial(p)
     return total * q ** (len(weights) - p) / den
+
+
+def _exact_central_densities(w: np.ndarray) -> list[float]:
+    """``density_at(row, 0.0)`` of each row of a ``(B, m)`` batch, bit for bit.
+
+    The rows hold ``2 <= m <= EXACT_CORNER_WEIGHTS`` live weights of a
+    unit-scaled direction, each at most 1.  Each weight is ``M 2^(e-53)``
+    with an integer ``M < 2^53``; shifted to the row's smallest exponent
+    the weights are integers over ``q = 2^(53-e_min)``, and ``e_min <= 1``.
+    Complement corners have sums ``s`` and ``-s`` and parities ``P`` and
+    ``(-1)^m P``, so ``sum_{s<0} P (-s)^(m-1)`` over all corners is a sum
+    over the half with ``-w_0``: ``P |s|^(m-1)`` where ``s < 0`` and
+    ``(-1)^m P s^(m-1)`` where ``s > 0``.  The same rational as
+    :func:`_exact_truncated_power_sum`'s, rounded once.
+    """
+    m = w.shape[1]
+    p, sign = m - 1, (-1) ** m
+    den = 2**m * math.factorial(p)
+    # the parity of the half's corner j, whose positive signs are j's set bits
+    parity = [(-1) ** bin(j).count("1") for j in range(1 << p)]
+    mantissas, exponents = np.frexp(w)
+    lowest = exponents.min(axis=1)
+    ints = (mantissas * 2.0**53).astype(np.int64)
+    shifts = exponents - lowest[:, None]
+    out = []
+    # one row's Python ints at a time: a whole batch of them alive at once,
+    # among the caller's own allocations, raised a fig1-grid process's
+    # resident memory by 1 MB
+    for row, shift, bits in zip(ints, shifts, (53 - lowest).tolist()):
+        v = [x << k for x, k in zip(row.tolist(), shift.tolist())]
+        corners = [-sum(v)]
+        for x in v[1:]:
+            x += x
+            corners += [s + x for s in corners]
+        total = 0
+        for s, par in zip(corners, parity):
+            if s < 0:
+                total += par * (-s) ** p
+            elif s:
+                total += par * sign * s**p
+        # the sum carries q^-(m-1) and the product q^-m
+        out.append((total << bits) / (den * math.prod(v)))
+    return out
 
 
 def _exact_piece_coefficients(

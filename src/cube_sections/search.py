@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criticality import _corner_rows, _degenerate_verdict, _sinc_rows, _sinc_table
-from .sections import _central, _normalized, diagonal_direction
+from .sections import _central, _central_rows, diagonal_direction
 from .weights import InvalidInputError, _unit_vector, as_unit_vector, as_weight_vector
 
 __all__ = [
@@ -440,7 +440,6 @@ def classify_critical_point(u) -> str:
     # (odd), so probe one-sided differences over an eigenvector fan and both
     # orientations of every direction.
     d = basis.shape[1]
-    f0 = _normalized(u)
     directions = [vecs[:, i] for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
@@ -448,16 +447,20 @@ def classify_critical_point(u) -> str:
             directions.append((vecs[:, i] - vecs[:, j]) / math.sqrt(2.0))
             directions.append((vecs[:, i] + 2.0 * vecs[:, j]) / math.sqrt(5.0))
             directions.append((2.0 * vecs[:, i] - vecs[:, j]) / math.sqrt(5.0))
+    # each volume of a batch is that of its row alone, so one batch reads
+    # the section at u and at every probe
+    steps = [sign * _PROBE_STEP * v for v in directions for sign in (1.0, -1.0)]
+    probes = [u] + [u + basis @ step for step in steps]
+    f0, *values = [math.pi * vol / 2.0 ** (u.size - 1) for vol in _central_rows(np.array(probes))]
     seen_pos = seen_neg = seen_flat = False
-    for v in directions:
-        for sign in (1.0, -1.0):
-            g = _normalized(u + basis @ (sign * _PROBE_STEP * v)) - f0
-            if g > _PROBE_NOISE:
-                seen_pos = True
-            elif g < -_PROBE_NOISE:
-                seen_neg = True
-            else:
-                seen_flat = True
+    for value in values:
+        g = value - f0
+        if g > _PROBE_NOISE:
+            seen_pos = True
+        elif g < -_PROBE_NOISE:
+            seen_neg = True
+        else:
+            seen_flat = True
     if seen_pos and seen_neg:
         return "saddle"
     if seen_flat or not (seen_pos or seen_neg):

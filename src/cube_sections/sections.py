@@ -15,16 +15,20 @@ still a face, not the empty set).
 Each public function coerces its input once; the private helpers it calls
 take the validated array (``_section_at`` any nonzero vector, the facet
 helpers the unit vector and an index in range) and check nothing again.
-Volumes come from the kernel ``density_at`` on the reduced weights, which
-keeps its own check.  Central volumes have one row kernel,
-``_central_rows``: ``central_volumes`` hands it a whole batch and
-``central_volume`` a batch of one.  Everything per facet, the slice, the
-cone over it and the slab spread of the slab identity, comes from the
-density and spread of the weights without coordinate ``k``.  A report and
-a cone balance read every facet off one ``_facet_marginals`` table of the
-direction where the rest has more than ``EXACT_CORNER_WEIGHTS`` weights;
-a single facet, and any facet the table leaves out, takes one
-``_density_and_spread`` call.
+Central volumes have one row kernel, ``_central_rows``: ``central_volumes``
+hands it a whole batch and ``central_volume`` a batch of one.  It scales
+each row to a unit vector, groups the rows by their number of live weights
+and reads each group's densities at 0 from one call of the batched exact
+kernel ``_exact_central_densities`` (the float corner sum above
+``EXACT_CORNER_WEIGHTS``), bitwise ``density_at`` of each row and with no
+second check of its weights.  Off-centre sections and a report's volume
+come from ``density_at`` on the reduced weights, which keeps its own check.
+Everything per facet, the slice, the cone over it and the slab spread of
+the slab identity, comes from the density and spread of the weights
+without coordinate ``k``.  A report and a cone balance read every facet
+off one ``_facet_marginals`` table of the direction where the rest has
+more than ``EXACT_CORNER_WEIGHTS`` weights; a single facet, and any facet
+the table leaves out, takes one ``_density_and_spread`` call.
 """
 
 from __future__ import annotations
@@ -34,7 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import EXACT_CORNER_WEIGHTS, _density_and_spread, _facet_marginals, density_at
+from .density import (
+    EXACT_CORNER_WEIGHTS,
+    _check_weight_count,
+    _density_and_spread,
+    _exact_central_densities,
+    _facet_marginals,
+    _truncated_power_sum,
+    density_at,
+)
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
@@ -128,14 +140,34 @@ def _central_rows(rows: np.ndarray) -> list[float]:
 
     Each row is scaled as :func:`~cube_sections.weights.as_unit_vector`
     scales it, the peak divided out for the whole batch at once, then
-    each row by its own norm.
+    each row by its own norm: a vectorized norm can differ by an ulp.
+    The rows are grouped by their number ``m`` of live weights, and each
+    group takes one kernel call: a single weight is a box, up to
+    ``EXACT_CORNER_WEIGHTS`` the exact batch kernel and above that the
+    float corner sum per row.  Every volume is bitwise the
+    ``2^n |u| density_at(w, 0)`` of its row's live weights ``w``.
     """
     units = rows / np.max(np.abs(rows), axis=1, keepdims=True)
-    out = []
-    for u in units:
+    norms = np.empty(len(rows))
+    for i, u in enumerate(units):
         u /= math.sqrt(u.dot(u))
-        out.append(_section_at(u, 0.0)[0])
-    return out
+        norms[i] = math.sqrt(u.dot(u))
+    size = np.abs(units)
+    live = size > RELATIVE_WEIGHT_FLOOR * size.max(axis=1, keepdims=True)
+    counts = np.count_nonzero(live, axis=1)
+    n = rows.shape[1]
+    # a row with one live weight is a box
+    volumes = np.full(len(rows), 2.0 ** (n - 1))
+    for m in set(counts.tolist()) - {1}:
+        group = np.flatnonzero(counts == m)
+        w = size[group][live[group]].reshape(-1, m)
+        if m <= EXACT_CORNER_WEIGHTS:
+            densities = _exact_central_densities(w)
+        else:
+            _check_weight_count(m)
+            densities = [_truncated_power_sum(row, 0.0, m - 1) for row in w]
+        volumes[group] = 2.0**n * norms[group] * densities
+    return volumes.tolist()
 
 
 def normalized_section(a) -> float:

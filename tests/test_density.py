@@ -13,10 +13,12 @@ from scipy.integrate import quad
 
 from cube_sections import density, sections
 from cube_sections.density import (
+    EXACT_CORNER_WEIGHTS,
     MAX_CLOSED_FORM_WEIGHTS,
     _compensated_sum,
     _corner_shifts,
     _density_and_spread,
+    _exact_central_densities,
     _facet_marginals,
     _facet_sums,
     cdf_at,
@@ -25,7 +27,7 @@ from cube_sections.density import (
     density_by_convolution,
     density_closed_form,
 )
-from cube_sections.weights import InvalidInputError
+from cube_sections.weights import RELATIVE_WEIGHT_FLOOR, InvalidInputError
 
 weights_st = st.lists(
     st.floats(0.05, 3.0, allow_nan=False), min_size=1, max_size=7
@@ -245,6 +247,47 @@ def test_density_at_tiny_weight_direction():
         (1e-8, 1e-8, 0.6, 0.8), 0.0, 3
     )
     assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == pytest.approx(0.625, rel=1e-15)
+
+
+@st.composite
+def central_weight_batches(draw):
+    """``(B, m)`` batches of live weights in (0, 1], as a unit direction has them.
+
+    Rows mix exponents and full mantissas, may hold weights just above
+    ``RELATIVE_WEIGHT_FLOOR`` times the peak, and may tie corners at an
+    exact zero sum: two equal weights, or ``w_0 = w_1 + w_2`` in dyadics.
+    """
+    m = draw(st.integers(2, EXACT_CORNER_WEIGHTS))
+    weight = st.one_of(
+        st.floats(1e-6, 1.0),
+        st.integers(1, 2**53).map(lambda k: k / 2.0**53),
+        st.integers(1, 2**10).map(lambda k: k / 2.0**10),
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(weight, min_size=m, max_size=m))
+        tie = draw(st.sampled_from(("none", "equal", "sum", "floor")))
+        if tie == "equal":
+            row[1] = row[0]
+        elif tie == "sum" and m >= 3:
+            row[0] = row[1] + row[2]
+        elif tie == "floor":
+            # at most half the row, so the peak stays
+            for k in range(m // 2):
+                row[k] = max(row) * draw(st.floats(1.0001 * RELATIVE_WEIGHT_FLOOR, 1e-12))
+        rows.append(row)
+    return np.array(rows) / max(1.0, np.max(rows))
+
+
+@given(central_weight_batches())
+@example(np.array([[1.0, 1.0], [0.5, 0.5]]))
+@example(np.array([[1.0, 0.5, 0.5], [0.75, 0.5, 0.25]]))
+@example(np.array([[1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.25, 0.25]]))
+@example(np.array([[1.0, 2e-14, 0.3], [0.7, 0.70000000000001, 1.5e-14]]))
+@example(np.full((1, EXACT_CORNER_WEIGHTS), 0.125))
+@settings(deadline=None, max_examples=150)
+def test_exact_central_densities_are_density_at_bitwise(w):
+    assert _exact_central_densities(w) == [density_at(row, 0.0) for row in w]
 
 
 @given(

@@ -306,8 +306,9 @@ def test_report_kernel_calls_share_one_table(monkeypatch):
 
 
 def test_inputs_are_coerced_once(monkeypatch):
-    # a public call validates its input once; past that only density_at,
-    # once per volume, checks its weights again
+    # a public call validates its input once; central volumes, batched or
+    # not, take the batch kernel, which checks nothing again, and only a
+    # report's volume reads density_at, which checks its weights once more
     calls = []
     original = weights.as_weight_vector
 
@@ -326,12 +327,11 @@ def test_inputs_are_coerced_once(monkeypatch):
         return len(calls)
 
     n = 6
-    assert coercions(central_volume, np.arange(1.0, 4.0)) == 2
-    assert coercions(normalized_section, np.arange(1.0, 4.0)) == 2
+    assert coercions(central_volume, np.arange(1.0, 4.0)) == 1
+    assert coercions(normalized_section, np.arange(1.0, 4.0)) == 1
     assert coercions(section_report, np.arange(1.0, n + 1.0)) == 2
-    # the batches add none of their own: at most density_at's one per
-    # volume, 5 x 9 = 45, not two per volume
-    assert coercions(cli.main, ["fig1-grid", "--resolution", "5"]) <= 45
+    # central_volumes checks its batch in one pass of its own
+    assert coercions(cli.main, ["fig1-grid", "--resolution", "5"]) == 0
     assert coercions(cone_balance, np.arange(1.0, 5.0)) == 1
     assert coercions(criticality_residuals, np.arange(1.0, 5.0)) == 1
     assert coercions(n3_cyclic_sum, (0.3, 0.5, 0.8)) == 1
