@@ -5,10 +5,16 @@ For each scan configuration (dimension, seed count, rng seed) the seeds of
 printed over the ``tobytes()`` of every refined vector, in seed order, with a
 fixed marker for a lost seed.  Beside it are the labels of the classes
 ``search.scan`` reports for the same configuration, in its order, each as
-``k:label`` with ``k`` the diagonal index or ``-`` off the diagonals.  Run
-it once per checkout, each with that checkout's own copy of this script,
-since the private functions it calls may take other arguments there, for
-example
+``k:label`` with ``k`` the diagonal index or ``-`` off the diagonals, and
+deterministic operation counts of that scan: ``sweeps``, the Newton
+sweeps of every ``search._newton_rows`` call (each evaluates one batch of
+trial steps), ``trials``, the trial rows of those batches, and
+``corner_calls``, the top-level ``_corner_rows`` calls.  They are counted
+by wrappers this script installs, so they need nothing of the package
+beyond those private names.  ``seconds`` times the refinement alone,
+outside the wrappers.  Run it once per checkout, each with that
+checkout's own copy of this script, since the private functions it calls
+may take other arguments there, for example
 
     python ../other/scripts/scan_digest.py --src ../other/src
     python scripts/scan_digest.py --src src
@@ -18,13 +24,64 @@ equal labels an unchanged classification.
 """
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 # (dimension, seed_count, rng_seed)
 CONFIGS = ((3, 500, 0), (4, 200, 1), (4, 200, 7), (4, 2000, 0), (5, 100, 0))
+
+
+@contextlib.contextmanager
+def counting(search, criticality):
+    """Count Newton calls and rows, residual batches and rows, and kernel calls.
+
+    ``_residual_rows`` runs once per ``_newton_rows`` call for the starting
+    residuals and once per sweep for its trial steps, so sweeps and trial
+    rows are its counts less those of ``_newton_rows``.  Calls that the
+    kernel makes to itself, to split a batch, are not counted.
+    """
+    counts = Counter()
+    depth = [0]
+
+    def rows(name, fn):
+        @functools.wraps(fn)
+        def wrapped(x, *args, **kwargs):
+            counts[name] += 1
+            counts[name + "_rows"] += len(x)
+            return fn(x, *args, **kwargs)
+
+        return wrapped
+
+    def kernel(fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            counts["corner"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    saved = [(m, name, getattr(m, name)) for m, name in (
+        (search, "_newton_rows"), (search, "_residual_rows"),
+        (search, "_corner_rows"), (criticality, "_corner_rows"),
+    )]
+    search._newton_rows = rows("newton", search._newton_rows)
+    search._residual_rows = rows("residual", search._residual_rows)
+    corner = kernel(criticality._corner_rows)
+    search._corner_rows = criticality._corner_rows = corner
+    try:
+        yield counts
+    finally:
+        for module, name, fn in saved:
+            setattr(module, name, fn)
 
 
 def main():
@@ -37,7 +94,7 @@ def main():
     )
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
-    from cube_sections import search
+    from cube_sections import criticality, search
 
     for dimension, seed_count, rng_seed in CONFIGS:
         config = search.ScanConfig(dimension=dimension, seed_count=seed_count, rng_seed=rng_seed)
@@ -48,13 +105,17 @@ def main():
         for vec in refined:
             digest.update(b"lost" if vec is None else vec.tobytes())
         lost = sum(vec is None for vec in refined)
+        with counting(search, criticality) as counts:
+            points = search.scan(config)
         labels = ",".join(
-            f"{'-' if p.diagonal_k is None else p.diagonal_k}:{p.classification}"
-            for p in search.scan(config)
+            f"{'-' if p.diagonal_k is None else p.diagonal_k}:{p.classification}" for p in points
         )
+        sweeps = counts["residual"] - counts["newton"]
+        trials = counts["residual_rows"] - counts["newton_rows"]
         print(
             f"n={dimension} seeds={seed_count} rng_seed={rng_seed} "
-            f"sha256={digest.hexdigest()} lost={lost} labels={labels} seconds={elapsed:.2f}",
+            f"sha256={digest.hexdigest()} lost={lost} labels={labels} "
+            f"sweeps={sweeps} trials={trials} corner_calls={counts['corner']} seconds={elapsed:.2f}",
             flush=True,
         )
 

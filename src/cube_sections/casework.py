@@ -8,9 +8,9 @@ whose three linear pieces split the balance into four sign regions, Cases
 A-D (``n4_case_residual``).  Chasing the cases over all coordinate
 substitutions reduces the 4-dimensional classification to two small
 polynomial systems.  Their lex Groebner bases are triangular and stored
-here as integer polynomials in ``a1``, so both are solved exactly: a Sturm
-chain over ``Fraction`` isolates every root, and back-substitution gives
-each coordinate rounded once.
+here as integer polynomials in ``a1``, so both are solved exactly: an integer
+Sturm chain isolates every root at rational points, and back-substitution
+gives each coordinate rounded once.
 
 All case polynomials are the pairwise balance multiplied by an explicit
 positive factor (recorded in ``_BALANCE_FACTOR``), which is what makes the
@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 
 import numpy as np
@@ -330,31 +329,41 @@ _TRIPLE_COORDINATES = (
 )
 
 
-def _horner(poly, x):
-    value = 0
+def _horner(poly, x) -> int:
+    """``q^d p(x)`` at a rational ``x = r/q`` in lowest terms, with ``d = deg p``.
+
+    Horner's scheme in integers, homogeneous in ``r`` and ``q``: the value
+    of ``p(x)`` times a positive integer, so it has the sign of ``p(x)``.
+    """
+    num, den = x.numerator, x.denominator
+    value, power = 0, 1
     for c in poly:
-        value = value * x + c
+        value = value * num + c * power
+        power *= den
     return value
 
 
-def _sturm_chain(poly) -> list[list[Fraction]]:
+def _sturm_chain(poly) -> list[list[int]]:
     """``p``, ``p'`` and the negated remainders, down to a constant.
 
-    ``p`` must be squarefree, so the last remainder is a nonzero constant.
+    Each member is a positive multiple of the rational one, with integer
+    coefficients: a remainder is taken of the dividend times a power of
+    the magnitude of the divisor's leading coefficient and divided by its
+    content, so every member keeps its signs.  ``p`` must be squarefree,
+    so the last remainder is a nonzero constant.
     """
     degree = len(poly) - 1
-    chain = [
-        [Fraction(c) for c in poly],
-        [Fraction(c * (degree - i)) for i, c in enumerate(poly[:-1])],
-    ]
+    chain = [list(poly), [c * (degree - i) for i, c in enumerate(poly[:-1])]]
     while len(chain[-1]) > 1:
         rem, den = chain[-2], chain[-1]
+        lead, sign = abs(den[0]), 1 if den[0] > 0 else -1
         while len(rem) >= len(den):
-            q = rem[0] / den[0]
-            rem = [r - q * d for r, d in zip_longest(rem, den, fillvalue=0)][1:]
+            q = sign * rem[0]
+            rem = [lead * r - q * d for r, d in zip_longest(rem, den, fillvalue=0)][1:]
         while not rem[0]:
             rem = rem[1:]
-        chain.append([-r for r in rem])
+        content = math.gcd(*rem)
+        chain.append([-r // content for r in rem])
     return chain
 
 
@@ -402,9 +411,13 @@ def _solve_triangular(eliminant, coordinates) -> list[tuple[float, ...]]:
     and then until both ends of its interval give the same floats in every
     coordinate: each coordinate is evaluated exactly and rounded once.
     """
+    from fractions import Fraction
 
     def rounded(x: Fraction) -> tuple[float, ...]:
-        return tuple(float(_horner(num, x) / den) for num, den in coordinates)
+        # integer true division rounds the exact quotient correctly
+        return tuple(
+            _horner(num, x) / (den * x.denominator ** (len(num) - 1)) for num, den in coordinates
+        )
 
     solutions = []
     for lo, hi in _isolate(_sturm_chain(eliminant), Fraction(0), Fraction(1)):

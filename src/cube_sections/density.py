@@ -50,7 +50,6 @@ import math
 from functools import partial
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .piecewise import PiecewisePolynomial
 from .weights import InvalidInputError, as_weight_vector, nonzero_weights
@@ -225,6 +224,8 @@ def _fold_box(f: PiecewisePolynomial, v: float) -> PiecewisePolynomial:
         j = min(max(j, 0), mids_old.size - 1)
         c = f.coefficients[j]
         anti = np.concatenate([[0.0], c / np.arange(1, c.size + 1)])
+        from numpy.polynomial import polynomial as P
+
         const = offsets[j] - P.polyval(-halves_old[j], anti)
         # compose with u -> u + delta to re-center on the new midpoint
         delta = local_shift_base - mids_old[j]

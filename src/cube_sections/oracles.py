@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +236,8 @@ def monte_carlo_section(
     jobs = list(zip(sizes, streams))
     nworkers = worker_count(threads)
     if nworkers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             hits = sum(pool.map(run, jobs))
     else:

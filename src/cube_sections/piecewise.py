@@ -11,7 +11,6 @@ the geometric boundary conventions of the section code.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -181,8 +180,12 @@ class PiecewisePolynomial:
         )
 
     def to_json(self, **kwargs) -> str:
+        import json
+
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "PiecewisePolynomial":
+        import json
+
         return cls.from_dict(json.loads(text))

@@ -8,11 +8,15 @@ through one lock-step iteration: each sweep builds one batched corner
 table (:func:`cube_sections.criticality._corner_rows`) for the rows that
 need an exact Jacobian and one for the rows trying a step, and every row
 takes exactly the steps it would take alone, so a seed's result does not
-depend on the batch it runs in.  Converged points are folded into the
-closed positive orthant, deduplicated, and classified: kinks by their
-degenerate verdicts, every other point by the eigenvalues of the exact
-tangent Hessian, read off the same corner table as Newton's Jacobian, with
-a sign probe of the volume where that Hessian is degenerate.
+depend on the batch it runs in.  The step-halving line search tries
+several scales of a row per sweep, more the longer it has run, so a row
+that halves through all 30 scales takes seven sweeps, not 30, and stops
+at the same trial as one trying a scale per sweep.  Converged points are
+folded into the closed positive orthant, deduplicated, and classified:
+kinks by their degenerate verdicts, every other point by the eigenvalues
+of the exact tangent Hessian, read off the same corner table as Newton's
+Jacobian, with a sign probe of the volume where that Hessian is
+degenerate.
 
 Directions with zero coordinates are genuine non-smooth points.  Rows
 whose coordinates collapse below a threshold, or whose line search stalls
@@ -308,11 +312,15 @@ def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
     Each row takes exactly the steps it would take alone.  In every sweep
     a row between iterations either leaves or builds its exact Jacobian
     ``[[H - lambda, -a], [a^T, 0]]`` and solves for its step, and then
-    every row tries its current step scale: the trial is accepted when it
-    lowers the max-norm residual, and the scale halves otherwise.  Returns
-    how each row left, with its iterate: ``"converged"`` (a residual of at
-    most 1e-11), ``"stalled"`` (60 steps, or 30 failed halvings),
-    ``"tiny"`` (a trial with a coordinate at or below 1e-7) or
+    every row tries step scales: a trial is accepted when it lowers the
+    max-norm residual, and the scale halves otherwise.  A row that has
+    halved ``h`` times tries its next ``max(1, h - 1)`` scales ``2^-h``,
+    ``2^-(h+1)``, ... at once, at most up to the 30th halving, so a long
+    line search takes a few sweeps, not 30; the row stops at the first of
+    them that is tiny or accepted, as if it had tried them one by one.
+    Returns how each row left, with its iterate: ``"converged"`` (a
+    residual of at most 1e-11), ``"stalled"`` (60 steps, or 30 failed
+    halvings), ``"tiny"`` (a trial with a coordinate at or below 1e-7) or
     ``"singular"`` (no step; the iterate is ``None``).
     """
     count, n = a.shape
@@ -327,15 +335,14 @@ def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
         np.abs(G).max(axis=1),  # residual of the accepted iterate
         np.zeros(count, dtype=int),  # Newton steps taken
         np.zeros((count, n + 1)),  # current step
-        np.ones(count),  # its scale
-        np.zeros(count, dtype=int),  # halvings of the scale
+        np.zeros(count, dtype=int),  # halvings of its scale
         np.zeros(count, dtype=bool),  # whether the row is in a line search
     )
     eye = np.eye(n)
 
     with np.errstate(all="ignore"):  # trials may overflow; they are then rejected
         while state[0].size:
-            row, x, G, resid, iters, step, scale, halved, searching = state
+            row, x, G, resid, iters, step, halved, searching = state
             idle = ~searching
             if idle.any():
                 left = idle & ((resid <= _NEWTON_TOL) | (iters >= _NEWTON_MAX_ITERS))
@@ -358,15 +365,21 @@ def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
                     left[new[~solved]] = True  # their exits already read "singular"
                     new = new[solved]
                     step[new] = steps[solved]
-                    scale[new] = 1.0
                     halved[new] = 0
                     iters[new] += 1
                 if left.any():
                     state = tuple(v[~left] for v in state)
-                    row, x, G, resid, iters, step, scale, halved, searching = state
+                    row, x, G, resid, iters, step, halved, searching = state
+                    if not row.size:
+                        break
 
-            # every row is now in a line search and tries its current scale
-            x_new = x + scale[:, None] * step
+            # every row is now in a line search and tries its next scales;
+            # the scales are exact powers of two, the products of repeated halving
+            width = np.minimum(np.maximum(halved - 1, 1), _HALVINGS - halved)
+            first = np.cumsum(width) - width
+            trial = np.repeat(np.arange(row.size), width)
+            h = halved[trial] + np.arange(trial.size) - first[trial]
+            x_new = x[trial] + np.ldexp(1.0, -h)[:, None] * step[trial]
             a_new = x_new[:, :n]
             sane = np.isfinite(a_new).all(axis=1) & (
                 np.sqrt((a_new * a_new).cumsum(axis=1)[:, -1]) > 0.25
@@ -374,20 +387,24 @@ def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
             tiny = sane & (np.abs(a_new) <= _ZERO_COORD_TOL).any(axis=1)
             G_new = _residual_rows(x_new)
             resid_new = np.abs(G_new).max(axis=1)
-            took = sane & ~tiny & (resid_new < resid)
-            x[took] = x_new[took]
-            G[took] = G_new[took]
-            resid[took] = resid_new[took]
-            failed = ~(took | tiny)
-            scale = np.where(failed, 0.5 * scale, scale)
-            halved = halved + failed
+            took = sane & ~tiny & (resid_new < resid[trial])
+            # a row stops at its first trial that is tiny or accepted; the
+            # sentinel trial.size marks a row whose every trial failed
+            stop = np.minimum.reduceat(np.where(took | tiny, np.arange(trial.size), trial.size), first)
+            took_at = np.append(took, False)[stop]
+            tiny_at = np.append(tiny, False)[stop]
+            x[took_at] = x_new[stop[took_at]]
+            G[took_at] = G_new[stop[took_at]]
+            resid[took_at] = resid_new[stop[took_at]]
+            failed = ~(took_at | tiny_at)
+            halved = halved + failed * width
             stalled = halved >= _HALVINGS
-            for i in np.flatnonzero(tiny):
-                exits[row[i]] = ("tiny", a_new[i].copy())
+            for i in np.flatnonzero(tiny_at):
+                exits[row[i]] = ("tiny", a_new[stop[i]].copy())
             for i in np.flatnonzero(stalled):
                 exits[row[i]] = ("stalled", x[i, :n].copy())
-            state = (row, x, G, resid, iters, step, scale, halved, failed & ~stalled)
-            left = tiny | stalled
+            state = (row, x, G, resid, iters, step, halved, failed & ~stalled)
+            left = tiny_at | stalled
             if left.any():
                 state = tuple(v[~left] for v in state)
     return exits

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cube_sections.casework import (
     INTERIOR_BOUND_TRIPLE,
@@ -330,6 +331,60 @@ def test_exact_isolation_rounds_every_root_correctly(roots):
         poly = [q * c - p * d for c, d in zip(poly + [0], [0] + poly)]
     got = _solve_triangular(poly, [((1, 0), 1)])
     assert got == [(float(r),) for r in sorted(roots)]
+
+
+def _fraction_horner(poly, x: Fraction) -> Fraction:
+    value = Fraction(0)
+    for c in poly:
+        value = value * x + c
+    return value
+
+
+def _fraction_sturm_chain(poly):
+    """The Sturm chain in ``Fraction`` arithmetic, or ``None`` unless squarefree."""
+    degree = len(poly) - 1
+    chain = [
+        [Fraction(c) for c in poly],
+        [Fraction(c * (degree - i)) for i, c in enumerate(poly[:-1])],
+    ]
+    while len(chain[-1]) > 1:
+        rem, den = chain[-2], chain[-1]
+        while len(rem) >= len(den):
+            q = rem[0] / den[0]
+            rem = [r - q * d for r, d in zip_longest(rem, den, fillvalue=0)][1:]
+        while rem and not rem[0]:
+            rem = rem[1:]
+        if not rem:
+            return None
+        chain.append([-r for r in rem])
+    return chain
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-60, 60)), min_size=2, max_size=13).filter(
+        lambda p: p[0] != 0
+    ),
+    st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+        st.integers(-(2**40), 2**40).map(lambda k: Fraction(k, 2**40)),
+    ),
+)
+@settings(deadline=None, max_examples=200)
+def test_integer_horner_and_chain_are_fraction_multiples(poly, x):
+    # the integer Horner value is q^d p(x), and each integer chain member a
+    # positive multiple of the rational one, so every sign count agrees;
+    # sparse polynomials make remainders that drop several degrees
+    want = _fraction_sturm_chain(poly)
+    assume(want is not None)
+    assert _horner(poly, x) == _fraction_horner(poly, x) * x.denominator ** (len(poly) - 1)
+    chain = _sturm_chain(poly)
+    assert len(chain) == len(want)
+    for member, rational in zip(chain, want):
+        assert all(isinstance(c, int) for c in member)
+        ratio = member[0] / rational[0]
+        assert ratio > 0 and [ratio * c for c in rational] == member
+        value = _horner(member, x)
+        assert value == ratio * _fraction_horner(rational, x) * x.denominator ** (len(member) - 1)
 
 
 def test_stated_triple_root_is_provably_not_a_root():

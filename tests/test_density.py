@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cube_sections import density, sections
@@ -256,6 +256,9 @@ def central_weight_batches(draw):
     Rows mix exponents and full mantissas, may hold weights just above
     ``RELATIVE_WEIGHT_FLOOR`` times the peak, and may tie corners at an
     exact zero sum: two equal weights, or ``w_0 = w_1 + w_2`` in dyadics.
+    Every weight is live, above the floor times its row's peak, as
+    ``sections._central_rows`` leaves them; the public composition covers
+    weights below it.
     """
     m = draw(st.integers(2, EXACT_CORNER_WEIGHTS))
     weight = st.one_of(
@@ -276,7 +279,9 @@ def central_weight_batches(draw):
             for k in range(m // 2):
                 row[k] = max(row) * draw(st.floats(1.0001 * RELATIVE_WEIGHT_FLOOR, 1e-12))
         rows.append(row)
-    return np.array(rows) / max(1.0, np.max(rows))
+    w = np.array(rows) / max(1.0, np.max(rows))
+    assume(np.all(w.min(axis=1) > RELATIVE_WEIGHT_FLOOR * w.max(axis=1)))
+    return w
 
 
 @given(central_weight_batches())

@@ -195,6 +195,155 @@ def test_solve_rows_loses_only_the_singular_row():
     np.testing.assert_array_equal(x[2], rhs[2] / 2.0)
 
 
+# -- Newton line search ---------------------------------------------------------
+
+
+def _newton_rows_one_scale(a):
+    """``search._newton_rows`` with one step scale per row and sweep.
+
+    The line search as it was before each sweep tried several scales: the
+    reference whose exits the batched scales must reproduce bitwise.
+    """
+    count, n = a.shape
+    exits: list[tuple[str, np.ndarray | None]] = [("singular", None)] * count
+    # x = [a, lambda]; the multiplier starts at a . grad I
+    x = np.concatenate([a, (a * search._corner_rows(a).grad).cumsum(axis=1)[:, -1:]], axis=1)
+    G = search._residual_rows(x)
+    state = (
+        np.arange(count),  # input row
+        x,
+        G,
+        np.abs(G).max(axis=1),  # residual of the accepted iterate
+        np.zeros(count, dtype=int),  # Newton steps taken
+        np.zeros((count, n + 1)),  # current step
+        np.ones(count),  # its scale
+        np.zeros(count, dtype=int),  # halvings of the scale
+        np.zeros(count, dtype=bool),  # whether the row is in a line search
+    )
+    eye = np.eye(n)
+
+    with np.errstate(all="ignore"):  # trials may overflow; they are then rejected
+        while state[0].size:
+            row, x, G, resid, iters, step, scale, halved, searching = state
+            idle = ~searching
+            if idle.any():
+                left = idle & ((resid <= search._NEWTON_TOL) | (iters >= search._NEWTON_MAX_ITERS))
+                for i in np.flatnonzero(left):
+                    kind = "converged" if resid[i] <= search._NEWTON_TOL else "stalled"
+                    exits[row[i]] = (kind, x[i, :n].copy())
+                new = np.flatnonzero(idle & ~left)
+                if new.size:
+                    sub = x[new, :n]
+                    sgn = np.sign(sub)
+                    J = np.zeros((new.size, n + 1, n + 1))
+                    J[:, :n, :n] = (
+                        sgn[:, :, None] * sgn[:, None, :]
+                        * search._corner_rows(np.abs(sub), hessian=True).hessian
+                        - x[new, n, None, None] * eye
+                    )
+                    J[:, :n, n] = -sub
+                    J[:, n, :n] = sub
+                    steps, solved = search._solve_rows(J, -G[new])
+                    left[new[~solved]] = True  # their exits already read "singular"
+                    new = new[solved]
+                    step[new] = steps[solved]
+                    scale[new] = 1.0
+                    halved[new] = 0
+                    iters[new] += 1
+                if left.any():
+                    state = tuple(v[~left] for v in state)
+                    row, x, G, resid, iters, step, scale, halved, searching = state
+
+            # every row is now in a line search and tries its current scale
+            x_new = x + scale[:, None] * step
+            a_new = x_new[:, :n]
+            sane = np.isfinite(a_new).all(axis=1) & (
+                np.sqrt((a_new * a_new).cumsum(axis=1)[:, -1]) > 0.25
+            )
+            tiny = sane & (np.abs(a_new) <= search._ZERO_COORD_TOL).any(axis=1)
+            G_new = search._residual_rows(x_new)
+            resid_new = np.abs(G_new).max(axis=1)
+            took = sane & ~tiny & (resid_new < resid)
+            x[took] = x_new[took]
+            G[took] = G_new[took]
+            resid[took] = resid_new[took]
+            failed = ~(took | tiny)
+            scale = np.where(failed, 0.5 * scale, scale)
+            halved = halved + failed
+            stalled = halved >= search._HALVINGS
+            for i in np.flatnonzero(tiny):
+                exits[row[i]] = ("tiny", a_new[i].copy())
+            for i in np.flatnonzero(stalled):
+                exits[row[i]] = ("stalled", x[i, :n].copy())
+            state = (row, x, G, resid, iters, step, scale, halved, failed & ~stalled)
+            left = tiny | stalled
+            if left.any():
+                state = tuple(v[~left] for v in state)
+    return exits
+
+
+def _positive_rows(seeds):
+    """The seeds without a zero coordinate, as ``_newton_rows`` takes them."""
+    return np.array([s for s in seeds if np.all(s > 1e-7)])
+
+
+# rows that leave Newton tiny, stalled, singular (the Jacobian of the
+# overflowing row is exactly rank deficient) and converged
+_HAND_ROWS = (
+    (np.array([[0.3, 0.95], [0.6, 0.8], [1e200, 1e200], [1.0, 1.0]]), ["tiny", "stalled", "singular", "converged"]),
+    (np.array([[0.2, 0.3, 0.9], [0.1, 0.2, 0.97], [1.0, 1.0, 1.0]]), ["tiny", "stalled", "converged"]),
+)
+
+
+@pytest.mark.parametrize("rows, kinds", _HAND_ROWS, ids=["n2", "n3"])
+def test_newton_exit_kinds_of_hand_rows(rows, kinds):
+    with np.errstate(all="ignore"):
+        assert [kind for kind, _ in search._newton_rows(rows)] == kinds
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [_positive_rows(_scan_seeds(ScanConfig(dimension=n, seed_count=100, rng_seed=1))) for n in (3, 4, 5, 6)]
+    + [_positive_rows(_scan_seeds(ScanConfig(dimension=4, seed_count=200, rng_seed=1)))]
+    + [rows for rows, _ in _HAND_ROWS],
+    ids=["n3", "n4", "n5", "n6", "n4-200", "n2-hand", "n3-hand"],
+)
+def test_newton_exits_match_one_scale_per_sweep(rows):
+    with np.errstate(all="ignore"):
+        want = _newton_rows_one_scale(rows)
+        got = search._newton_rows(rows)
+    assert [kind for kind, _ in got] == [kind for kind, _ in want]
+    for (_, x), (_, y) in zip(got, want):
+        if y is None:
+            assert x is None
+        else:
+            np.testing.assert_array_equal(x, y)
+
+
+def _sweep_counts(newton_rows, rows, monkeypatch):
+    """Sweeps and trial rows of one Newton call: its residual batches past the first."""
+    sizes = []
+    residual_rows = search._residual_rows
+
+    def counted(x):
+        sizes.append(len(x))
+        return residual_rows(x)
+
+    monkeypatch.setattr(search, "_residual_rows", counted)
+    newton_rows(rows)
+    return len(sizes) - 1, sum(sizes[1:])
+
+
+def test_newton_sweep_counts_are_pinned(monkeypatch):
+    # the 200 uncertified rows of the n = 4 scan at rng seed 1, which the
+    # thm3-n4 benchmark refines; most of them stall through 30 halvings
+    rows = _positive_rows(_scan_seeds(ScanConfig(dimension=4, seed_count=200, rng_seed=1)))
+    rows = rows[~_certified_rows(rows)]
+    assert rows.shape == (200, 4)
+    assert _sweep_counts(_newton_rows_one_scale, rows, monkeypatch) == (226, 13253)
+    assert _sweep_counts(search._newton_rows, rows, monkeypatch) == (99, 14676)
+
+
 # -- classification ------------------------------------------------------------
 
 

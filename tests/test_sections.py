@@ -223,6 +223,8 @@ def _public_central(row):
 @example(np.array([[0.0, 0.0, 1e-20, -2.0], [1.0, 1.0, 1.0, 1.0]]))
 # rows whose volumes move by an ulp under vectorized (einsum) row norms
 @example(np.array([[0.715, -0.933, 0.459], [0.189, -0.324, -0.217]]))
+# weights below the relative floor, which the exact kernel must not see
+@example(np.array([[0.5, 0.5, 2**-53, 2**-53]]))
 @settings(deadline=None)
 def test_central_volumes_is_the_public_composition_bitwise(rows):
     # more than EXACT_CORNER_WEIGHTS live weights takes the float sum
