@@ -7,8 +7,13 @@ benchmark directions (coordinate magnitudes in [0.25, 1] with random signs,
 n = 10..18) for rng seeds 1, 7 and 11, and 15 standard-normal directions per
 n = 10..18.  One more line digests, for the first set, ``facet_section_volume``
 and ``slab_identity_check`` at every facet ``k``, each computed alone from
-its own corner table rather than the report's shared one.  A last line
-gives the SHA-256 of the CSV that
+its own corner table rather than the report's shared one.  Another digests
+the exact views at most 8 live weights take, on a seeded set of weights
+spread over 30 binades: ``density_at`` and ``cdf_at`` at points across the
+support for m = 2..8 weights, the breakpoints and coefficients of
+``density_closed_form``, and ``facet_section_volume`` and
+``slab_identity_check`` at every facet of directions with n = 4..9
+coordinates.  A last line gives the SHA-256 of the CSV that
 ``cli.main(["fig1-grid", "--resolution", "91"])`` prints, the Figure 1 grid
 of 16,471 three-dimensional central volumes.  Run it once per checkout, for
 example
@@ -57,6 +62,32 @@ def direction_sets():
     yield f"normal {NORMAL_PER_DIMENSION}/n seed=0", [
         rng.standard_normal(n) for n in DIMENSIONS for _ in range(NORMAL_PER_DIMENSION)
     ]
+
+
+def mixed_binade_weights(rng, m):
+    """``m`` magnitudes in [0.25, 1], each scaled by ``2^-j`` for a random ``j`` in 0..29."""
+    return rng.uniform(0.25, 1.0, m) * 2.0 ** -rng.integers(0, 30, m)
+
+
+def exact_view_values(cube_sections, sections):
+    """The values of the exact views on the seeded mixed-binade set, in a fixed order."""
+    rng = np.random.default_rng(0)
+    for m in range(2, 9):
+        for _ in range(4):
+            w = mixed_binade_weights(rng, m)
+            total = float(np.sum(w))
+            for t in (-1.05, -0.6, -0.1, 0.0, 1e-9, 0.3, 0.77, 0.999):
+                yield cube_sections.density_at(w, t * total)
+                yield cube_sections.cdf_at(w, t * total)
+            f = cube_sections.density_closed_form(w)
+            yield from f.breakpoints.tolist()
+            yield from f.coefficients.ravel().tolist()
+    for n in range(4, 10):
+        for _ in range(3):
+            a = mixed_binade_weights(rng, n) * rng.choice([-1.0, 1.0], n)
+            for k in range(n):
+                yield sections.facet_section_volume(a, k)
+                yield from sections.slab_identity_check(a, k)
 
 
 def exact_facet(u, k):
@@ -118,6 +149,7 @@ def main():
     )
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
+    import cube_sections
     from cube_sections import cli, sections
 
     if args.errors:
@@ -159,6 +191,12 @@ def main():
     elapsed = time.perf_counter() - start
     facets = sum(a.size for a in directions)
     print(f"lone facets {name} facets={facets} sha256={digest.hexdigest()} seconds={elapsed:.2f}", flush=True)
+
+    start = time.perf_counter()
+    values = np.array(list(exact_view_values(cube_sections, sections)))
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    elapsed = time.perf_counter() - start
+    print(f"exact views mixed-binade seed=0 values={values.size} sha256={digest} seconds={elapsed:.2f}", flush=True)
 
     start = time.perf_counter()
     csv = io.StringIO()

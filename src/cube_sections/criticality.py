@@ -72,6 +72,7 @@ from .sections import _all_facet_terms, _cone_over
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
+    _binade_scaled,
     as_unit_vector,
     as_weight_vector,
 )
@@ -273,9 +274,14 @@ def grad_sinc_product_integral(a) -> np.ndarray:
 
     Uses the closed-form identity ``a_k dI/da_k = 2 pi f_reduced(a_k) - I``
     rather than differentiating under the oscillatory integral; the
-    coordinate partial vanishes by symmetry where ``a_k = 0``.
+    coordinate partial vanishes by symmetry where ``a_k = 0``.  It has
+    degree -2, so it is taken at ``a`` over its peak's power of two ``2^e``
+    and scaled back by ``2^(-2e)``, exactly unless it leaves the float
+    range, where it rounds to 0 or an infinity.
     """
-    return _sinc_table(as_weight_vector(a)).grad
+    b, e = _binade_scaled(as_weight_vector(a))
+    with np.errstate(over="ignore"):
+        return np.ldexp(_sinc_table(b).grad, -2 * e)
 
 
 def interior_condition(a) -> bool:

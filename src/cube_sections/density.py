@@ -19,19 +19,22 @@ constructions are provided:
 
 The two paths share no code and serve as oracles for each other.
 
-Fast point evaluators (``density_at``, ``cdf_at``) avoid constructing the
-full piecewise object.  Up to ``EXACT_CORNER_WEIGHTS`` nonzero weights they
-sum the corner terms exactly in integers and round once, so no cancellation
-is left.  Larger tables are summed in floating point by an error-free
-pairwise transformation (``_compensated_sum``), whole-array numpy work
-that agrees with ``math.fsum`` to an ulp; the float terms themselves still
-carry rounding errors, which cancel when some weights are small against the
-others.  The float corner sums are built by doubling (``_corner_shifts``),
-one ``2^m`` array per call and no cached table, and the terms are formed in
-place in it.  The central volumes of :mod:`cube_sections.sections` read
-``f(0)`` of a whole batch of rows with the same number of weights from one
-exact integer kernel (``_exact_central_densities``), bitwise ``density_at``
-of each row.
+Every exact corner sum comes from one integer engine, ``_exact_tables``:
+it writes a batch of weight rows and the points with ``frexp`` as
+integers over one power of two, and builds half of each row's corner sums,
+the other half being their complements.  The closed form's piece
+coefficients at every size, and up to ``EXACT_CORNER_WEIGHTS`` nonzero
+weights the point evaluators (``density_at``, ``cdf_at``), a lone facet's
+density and slab spread and the densities at 0 of a batch of central
+volumes (``_truncated_power_sums``), are exact rationals from it, each
+rounded once, so no cancellation is left.  Larger tables are summed in
+floating point by an error-free pairwise transformation
+(``_compensated_sum``), whole-array numpy work that agrees with
+``math.fsum`` to an ulp; the float terms themselves still carry rounding
+errors, which cancel when some weights are small against the others.  The
+float corner sums are built by doubling (``_corner_shifts``), one ``2^m``
+array per call and no cached table, and the terms are formed in place in
+it.
 
 The facet quantities of :mod:`cube_sections.sections` come from one table
 per direction (``_facet_marginals``): for each weight ``w_k``, the density
@@ -70,8 +73,9 @@ MAX_CLOSED_FORM_WEIGHTS = 20
 
 # point evaluations and slab spreads with at most this many nonzero weights
 # sum the 2^m corner terms in exact integer arithmetic; at 2^8 terms a
-# density_at call takes 0.09-0.18 ms against 0.05-0.12 ms for the compensated
-# float sum (2-core VM), and larger tables keep the latter
+# density_at call takes 0.07-0.14 ms against 0.06-0.10 ms for the compensated
+# float sum (six directions, best of 7 x 300 calls, 2-core VM), and larger
+# tables keep the latter
 EXACT_CORNER_WEIGHTS = 8
 
 # _compensated_sum halves its array while it has at least this many
@@ -263,82 +267,53 @@ def density_by_convolution(a) -> PiecewisePolynomial:
     return f
 
 
-def _dyadic_corners(w: list[float], points: list[float]):
-    """Weights, corner sums and points as integers over one denominator ``q``.
+def _exact_tables(w: np.ndarray, points: list[float]):
+    """The ``(B, m)`` batch of live weights ``w`` and the ``points`` as integers, with half tables.
 
-    Floats are dyadic rationals, so the largest of their denominators is a
-    multiple of all the others.  The corner sums ``s_eps`` come split by the
-    parity of the number of positive signs.
-    """
-    ratios = [x.as_integer_ratio() for x in w + points]
-    q = max(d for _, d in ratios)
-    ints = [n * (q // d) for n, d in ratios]
-    weights, pts = ints[: len(w)], ints[len(w) :]
-    even, odd = [-sum(weights)], []
-    for v in weights:
-        even, odd = even + [s + 2 * v for s in odd], odd + [s + 2 * v for s in even]
-    return q, weights, even, odd, pts
-
-
-def _integer_power_sum(even: list[int], odd: list[int], r: int, p: int) -> int:
-    """``sum_eps (-1)^{#pos} (r - s_eps)_+^p`` over integer corner sums."""
-    return sum((r - s) ** p for s in even if s < r) - sum((r - s) ** p for s in odd if s < r)
-
-
-def _exact_truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
-    """:func:`_truncated_power_sum` in integer arithmetic, correctly rounded.
-
-    Over the common denominator ``q`` every corner shift, power and the
-    weight product are exact integers.
-    """
-    q, weights, even, odd, (rr,) = _dyadic_corners(w.tolist(), [r])
-    total = _integer_power_sum(even, odd, rr, p)
-    # the sum carries q^-p and the product q^-m, with p <= m
-    den = 2 ** len(weights) * math.prod(weights) * math.factorial(p)
-    return total * q ** (len(weights) - p) / den
-
-
-def _exact_central_densities(w: np.ndarray) -> list[float]:
-    """``density_at(row, 0.0)`` of each row of a ``(B, m)`` batch, bit for bit.
-
-    The rows hold ``2 <= m <= EXACT_CORNER_WEIGHTS`` live weights of a
-    unit-scaled direction, each at most 1.  Each weight is ``M 2^(e-53)``
-    with an integer ``M < 2^53``; shifted to the row's smallest exponent
-    the weights are integers over ``q = 2^(53-e_min)``, and ``e_min <= 1``.
-    Complement corners have sums ``s`` and ``-s`` and parities ``P`` and
-    ``(-1)^m P``, so ``sum_{s<0} P (-s)^(m-1)`` over all corners is a sum
-    over the half with ``-w_0``: ``P |s|^(m-1)`` where ``s < 0`` and
-    ``(-1)^m P s^(m-1)`` where ``s > 0``.  The same rational as
-    :func:`_exact_truncated_power_sum`'s, rounded once.
+    One ``frexp`` split writes every float as ``M 2^(e-53)`` with an
+    integer ``M``; shifted to the smallest exponent of the weights and
+    nonzero points, capped at 53, all are integers over ``2^bits`` with
+    ``bits >= 0``.  A row's half table holds its corner sums with ``-w_0``,
+    ``s = -w_0 +- w_1 +- ...``, and their parities ``P = (-1)^(#positive)``;
+    the other half are the complements, ``-s`` with parity ``(-1)^m P``.
+    Returns the integer points, ``bits`` and an iterator giving each row's
+    table ``(s, P, (-1)^m)`` and the product of its integer weights, one
+    row at a time: a whole batch of Python ints alive at once, among the
+    caller's own allocations, raised a fig1-grid process's memory by 1 MB.
     """
     m = w.shape[1]
-    p, sign = m - 1, (-1) ** m
-    den = 2**m * math.factorial(p)
-    # the parity of the half's corner j, whose positive signs are j's set bits
-    parity = [(-1) ** bin(j).count("1") for j in range(1 << p)]
+    parity = [1]
+    for _ in range(m - 1):
+        parity += [-q for q in parity]
+    sign = (-1) ** m
+    # a zero point has no exponent of its own; it takes the cap
+    split = [(int(x * 2.0**53), e if x else 53) for x, e in map(math.frexp, points)]
     mantissas, exponents = np.frexp(w)
-    lowest = exponents.min(axis=1)
-    ints = (mantissas * 2.0**53).astype(np.int64)
-    shifts = exponents - lowest[:, None]
-    out = []
-    # one row's Python ints at a time: a whole batch of them alive at once,
-    # among the caller's own allocations, raised a fig1-grid process's
-    # resident memory by 1 MB
-    for row, shift, bits in zip(ints, shifts, (53 - lowest).tolist()):
-        v = [x << k for x, k in zip(row.tolist(), shift.tolist())]
-        corners = [-sum(v)]
-        for x in v[1:]:
-            x += x
-            corners += [s + x for s in corners]
-        total = 0
-        for s, par in zip(corners, parity):
-            if s < 0:
-                total += par * (-s) ** p
-            elif s:
-                total += par * sign * s**p
-        # the sum carries q^-(m-1) and the product q^-m
-        out.append((total << bits) / (den * math.prod(v)))
-    return out
+    low = min(53, int(exponents.min()), *(e for _, e in split))
+    ints = (mantissas * 2.0**53).astype(np.int64).tolist()
+
+    def rows():
+        for row, shifts in zip(ints, (exponents - low).tolist()):
+            v = [x << k for x, k in zip(row, shifts)]
+            corners = [-sum(v)]
+            for x in v[1:]:
+                x += x
+                corners += [s + x for s in corners]
+            yield (corners, parity, sign), math.prod(v)
+
+    return [x << e - low for x, e in split], 53 - low, rows()
+
+
+def _half_sum(table, r: int, p: int) -> int:
+    """``sum_eps P (r - s_eps)_+^p`` over every corner, from a half table and ``p >= 1``."""
+    corners, parity, sign = table
+    near = far = 0
+    for s, q in zip(corners, parity):
+        if s < r:
+            near += q * (r - s) ** p
+        if -s < r:
+            far += q * (r + s) ** p
+    return near + sign * far
 
 
 def _exact_piece_coefficients(
@@ -348,25 +323,24 @@ def _exact_piece_coefficients(
 
     The piece centred on ``mid`` sums the corners ``s_eps <= limit``:
     ``c_i = C(m-1, i) sum P (mid - s)^(m-1-i) / (2^m (m-1)! prod w)``,
-    an exact rational over the common denominator.
+    an exact rational, every power of ``mid - s`` a repeated product.
     """
-    m = w.size
-    q, weights, even, odd, centres = _dyadic_corners(w.tolist(), mids.tolist())
-    corners = [(s, 1) for s in even] + [(s, -1) for s in odd]
-    den = 2**m * math.prod(weights) * math.factorial(m - 1)
-    out = np.zeros((len(centres), m))
-    for j, (mid, limit) in enumerate(zip(centres, limits.tolist())):
-        num, dl = limit.as_integer_ratio()
-        sums = [0] * m  # sum P (mid - s)^k, carrying q^-k
-        for s, par in corners:
-            if s * dl <= num * q:
-                d, term = mid - s, par
+    m, count = w.size, mids.size
+    points, bits, rows = _exact_tables(w[None], mids.tolist() + limits.tolist())
+    (((half, parity, sign), prod),) = rows
+    corners = [*zip(half, parity), *((-s, sign * q) for s, q in zip(half, parity))]
+    den = 2**m * prod * math.factorial(m - 1)
+    out = np.zeros((count, m))
+    for j, (mid, limit) in enumerate(zip(points[:count], points[count:])):
+        sums = [0] * m  # sum P (mid - s)^k, carrying 2^(-bits k)
+        for s, q in corners:
+            if s <= limit:
+                d, term = mid - s, q
                 for k in range(m):
                     sums[k] += term
                     term *= d
-        out[j] = [
-            math.comb(m - 1, i) * sums[m - 1 - i] * q ** (i + 1) / den for i in range(m)
-        ]
+        # the product carries 2^(-bits m)
+        out[j] = [(math.comb(m - 1, i) * sums[m - 1 - i] << bits * (i + 1)) / den for i in range(m)]
     return out
 
 
@@ -434,30 +408,39 @@ def _compensated_sum(terms: np.ndarray) -> float:
     return _rounded(*_folded(terms), terms.tolist)
 
 
-def _truncated_power_sum(w: np.ndarray, r: float, p: int) -> float:
-    """``sum_eps (-1)^{#pos} (r - s_eps)_+^p / (2^m p! prod w)`` for ``p >= 1``.
+def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
+    """``sum_eps (-1)^{#pos} (r - s_eps)_+^p / (2^m p! prod w)`` of each row of ``w``, ``p >= 1``.
 
-    Up to ``EXACT_CORNER_WEIGHTS`` weights the alternating sum is exact,
-    out to the true end of the support.  Beyond that the float terms are
-    summed with :func:`_compensated_sum`, which leaves no summation error
-    to speak of; the terms themselves carry rounding errors of order
-    ``u |term|``, so the result still cancels when some weights are small
-    against the others.
+    ``w`` is a ``(B, m)`` batch of live weights.  Up to
+    ``EXACT_CORNER_WEIGHTS`` weights the sum is exact and rounded once.
+    Beyond that each row's float terms are summed with
+    :func:`_compensated_sum`, which leaves no summation error to speak of;
+    the terms themselves carry rounding errors of order ``u |term|``, so
+    the result still cancels when some weights are small against the others.
     """
-    if w.size <= EXACT_CORNER_WEIGHTS and math.isfinite(r):
-        return _exact_truncated_power_sum(w, r, p)
-    total = float(np.sum(w))
-    if not -total < r < total:
-        # off the support: 0, or 1 right of it for the CDF (p = m)
-        return float(p == w.size and r > 0.0)
-    shifts, parity = _corner_shifts(w)
-    np.subtract(r, shifts, out=shifts)
-    terms = _positive_powers(shifts, parity, p)
-    # free the table before the sum, which would hold it beside the fold's
-    # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
-    del shifts, parity
-    scale = 1.0 / (2.0**w.size * float(np.prod(w)) * math.factorial(p))
-    return scale * _compensated_sum(terms)
+    m = w.shape[1]
+    if m <= EXACT_CORNER_WEIGHTS and math.isfinite(r):
+        (x,), bits, rows = _exact_tables(w, [r])
+        den, shift = 2**m * math.factorial(p), bits * (m - p)
+        # the sum carries 2^(-bits p) and the product 2^(-bits m)
+        return [(_half_sum(table, x, p) << shift) / (den * prod) for table, prod in rows]
+    _check_weight_count(m)
+    out = []
+    for row in w:
+        total = float(np.sum(row))
+        if not -total < r < total:
+            # off the support: 0, or 1 right of it for the CDF (p = m)
+            out.append(float(p == m and r > 0.0))
+            continue
+        shifts, parity = _corner_shifts(row)
+        np.subtract(r, shifts, out=shifts)
+        terms = _positive_powers(shifts, parity, p)
+        # free the table before the sum, which would hold it beside the fold's
+        # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
+        del shifts, parity
+        scale = 1.0 / (2.0**m * float(np.prod(row)) * math.factorial(p))
+        out.append(scale * _compensated_sum(terms))
+    return out
 
 
 def _positive_powers(d: np.ndarray, parity: np.ndarray, p: int) -> np.ndarray:
@@ -652,10 +635,11 @@ def _density_and_spread(w: np.ndarray, x: float) -> tuple[float, float]:
     _check_weight_count(m)
     x = float(x)
     if m <= EXACT_CORNER_WEIGHTS:
-        q, weights, even, odd, (hi, lo) = _dyadic_corners(w.tolist(), [x, -x])
-        den = 2**m * math.prod(weights) * math.factorial(m - 1)
-        density = _integer_power_sum(even, odd, hi, m - 1) * q / den
-        spread = _integer_power_sum(even, odd, hi, m) - _integer_power_sum(even, odd, lo, m)
+        (hi,), bits, rows = _exact_tables(w[None], [x])
+        ((table, prod),) = rows
+        den = 2**m * prod * math.factorial(m - 1)
+        density = (_half_sum(table, hi, m - 1) << bits) / den
+        spread = _half_sum(table, hi, m) - _half_sum(table, -hi, m)
         return density, spread / (den * m)
     if x >= float(np.sum(w)):
         return 0.0, 1.0
@@ -677,7 +661,7 @@ def density_at(a, r: float) -> float:
     if m == 1:
         h = float(w[0])
         return 0.5 / h if -h <= r < h else 0.0
-    return _truncated_power_sum(w, r, m - 1)
+    return _truncated_power_sums(w[None], r, m - 1)[0]
 
 
 def cdf_at(a, r: float) -> float:
@@ -688,7 +672,7 @@ def cdf_at(a, r: float) -> float:
     if m == 1:
         h = float(w[0])
         return min(max((r + h) / (2.0 * h), 0.0), 1.0)
-    return _truncated_power_sum(w, r, m)
+    return _truncated_power_sums(w[None], r, m)[0]
 
 
 def characteristic_function(a, t):

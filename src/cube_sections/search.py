@@ -39,7 +39,7 @@ import numpy as np
 
 from .criticality import _corner_rows, _degenerate_verdict, _sinc_rows, _sinc_table
 from .sections import _central, _central_rows, diagonal_direction
-from .weights import InvalidInputError, _unit_vector, as_unit_vector, as_weight_vector
+from .weights import InvalidInputError, _binade_scaled, _unit_vector, as_unit_vector, as_weight_vector
 
 __all__ = [
     "ScanConfig",
@@ -174,8 +174,8 @@ def _snap_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _unit(seed) -> np.ndarray | None:
-    """``|seed| / ||seed||``, or ``None`` for the zero vector."""
-    a = np.abs(as_weight_vector(seed, allow_zero=True))
+    """``|seed| / ||seed||``, or ``None`` for the zero vector, at any scale of ``seed``."""
+    a = np.abs(_binade_scaled(as_weight_vector(seed, allow_zero=True))[0])
     norm = float(np.linalg.norm(a))
     return None if norm == 0.0 else a / norm
 

@@ -18,9 +18,9 @@ helpers the unit vector and an index in range) and check nothing again.
 Central volumes have one row kernel, ``_central_rows``: ``central_volumes``
 hands it a whole batch and ``central_volume`` a batch of one.  It scales
 each row to a unit vector, groups the rows by their number of live weights
-and reads each group's densities at 0 from one call of the batched exact
-kernel ``_exact_central_densities`` (the float corner sum above
-``EXACT_CORNER_WEIGHTS``), bitwise ``density_at`` of each row and with no
+and reads each group's densities at 0 from one density call,
+``_truncated_power_sums``, which is exact up to ``EXACT_CORNER_WEIGHTS``
+weights and bitwise ``density_at`` of each row at any count, with no
 second check of its weights.  Off-centre sections and a report's volume
 come from ``density_at`` on the reduced weights, which keeps its own check.
 Everything per facet, the slice, the cone over it and the slab spread of
@@ -40,11 +40,9 @@ import numpy as np
 
 from .density import (
     EXACT_CORNER_WEIGHTS,
-    _check_weight_count,
     _density_and_spread,
-    _exact_central_densities,
     _facet_marginals,
-    _truncated_power_sum,
+    _truncated_power_sums,
     density_at,
 )
 from .weights import (
@@ -141,11 +139,10 @@ def _central_rows(rows: np.ndarray) -> list[float]:
     Each row is scaled as :func:`~cube_sections.weights.as_unit_vector`
     scales it, the peak divided out for the whole batch at once, then
     each row by its own norm: a vectorized norm can differ by an ulp.
-    The rows are grouped by their number ``m`` of live weights, and each
-    group takes one kernel call: a single weight is a box, up to
-    ``EXACT_CORNER_WEIGHTS`` the exact batch kernel and above that the
-    float corner sum per row.  Every volume is bitwise the
-    ``2^n |u| density_at(w, 0)`` of its row's live weights ``w``.
+    The rows are grouped by their number ``m`` of live weights: a single
+    weight is a box, and any other group takes one density call.  Every
+    volume is bitwise the ``2^n |u| density_at(w, 0)`` of its row's live
+    weights ``w``.
     """
     units = rows / np.max(np.abs(rows), axis=1, keepdims=True)
     norms = np.empty(len(rows))
@@ -161,12 +158,7 @@ def _central_rows(rows: np.ndarray) -> list[float]:
     for m in set(counts.tolist()) - {1}:
         group = np.flatnonzero(counts == m)
         w = size[group][live[group]].reshape(-1, m)
-        if m <= EXACT_CORNER_WEIGHTS:
-            densities = _exact_central_densities(w)
-        else:
-            _check_weight_count(m)
-            densities = [_truncated_power_sum(row, 0.0, m - 1) for row in w]
-        volumes[group] = 2.0**n * norms[group] * densities
+        volumes[group] = 2.0**n * norms[group] * _truncated_power_sums(w, 0.0, m - 1)
     return volumes.tolist()
 
 

@@ -16,6 +16,8 @@ them without checking again.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -73,6 +75,12 @@ def _unit_vector(arr: np.ndarray) -> np.ndarray:
     # divide out the peak first so squaring cannot underflow to zero
     arr = arr / np.max(np.abs(arr))
     return arr / np.linalg.norm(arr)
+
+
+def _binade_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """``arr / 2^e`` with ``2^(e-1) <= max |arr| < 2^e``, and ``e``; exact but for subnormals."""
+    e = math.frexp(max(map(abs, arr.tolist())))[1]
+    return np.ldexp(arr, -e), e
 
 
 def nonzero_weights(a) -> np.ndarray:

@@ -85,6 +85,24 @@ def test_gradient_matches_finite_differences(a):
     np.testing.assert_allclose(grad, fd_grad(a), rtol=1e-5, atol=1e-7)
 
 
+@given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
+@settings(deadline=None, max_examples=40)
+def test_gradient_scales_exactly(a):
+    # degree -2: an exact power-of-two scale comes out exactly, 2^-500 too,
+    # whose corner products underflow
+    a = np.array(a)
+    np.testing.assert_array_equal(grad_sinc_product_integral(2.0**-500 * a), 2.0**1000 * grad_sinc_product_integral(a))
+
+
+def test_gradient_at_extreme_scales():
+    # at (c, c, c) every partial is -pi / (4 c^2); it was NaN at 1e200 and
+    # 1e-150 and 0 at 1e150, and beyond the float range it is -inf or -0
+    for c in (1e-150, 1e150):
+        np.testing.assert_allclose(grad_sinc_product_integral([c] * 3), -math.pi / 4 / c / c, rtol=1e-14)
+    np.testing.assert_array_equal(grad_sinc_product_integral([1e-200] * 3), -np.inf)
+    np.testing.assert_array_equal(grad_sinc_product_integral([1e200] * 3), 0.0)
+
+
 def test_gradient_zero_coordinate():
     g = grad_sinc_product_integral((1.0, 0.0, 1.0, 1.0))
     assert g[1] == 0.0

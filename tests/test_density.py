@@ -1,9 +1,7 @@
 import contextlib
-import itertools
 import math
 import tracemalloc
 import warnings
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,9 +16,9 @@ from cube_sections.density import (
     _compensated_sum,
     _corner_shifts,
     _density_and_spread,
-    _exact_central_densities,
     _facet_marginals,
     _facet_sums,
+    _truncated_power_sums,
     cdf_at,
     characteristic_function,
     density_at,
@@ -28,6 +26,7 @@ from cube_sections.density import (
     density_closed_form,
 )
 from cube_sections.weights import RELATIVE_WEIGHT_FLOOR, InvalidInputError
+from fraction_reference import corner_sum
 
 weights_st = st.lists(
     st.floats(0.05, 3.0, allow_nan=False), min_size=1, max_size=7
@@ -186,7 +185,7 @@ def test_closed_form_above_eight_weights(m):
     assert np.max(np.abs(f(xs) - g(xs))) <= 1e-10 * peak
     j = f.midpoints.size // 3
     mid = float(f.midpoints[j])
-    want = [float(_fraction_power_sum(w, mid, m - 1 - i) / math.factorial(i)) for i in range(m)]
+    want = [float(corner_sum(w, mid, m - 1 - i) / math.factorial(i)) for i in range(m)]
     assert f.coefficients[j].tolist() == want
 
 
@@ -207,23 +206,6 @@ def test_point_evaluators_match_pieces(w, frac):
     assert cdf_at(w, x) == pytest.approx(float(f.cumulative(x)), rel=1e-10, abs=1e-12)
 
 
-def _fraction_power_sum(w, r, p) -> Fraction:
-    """Exact ``sum (-1)^#pos (r - s)_+^p / (2^m p! prod w)``."""
-    w = [Fraction(abs(x)) for x in w]
-    r = Fraction(r)
-    total = Fraction(0)
-    for signs in itertools.product((-1, 1), repeat=len(w)):
-        d = r - sum(s * x for s, x in zip(signs, w))
-        if d > 0:
-            total += (-1) ** signs.count(1) * d**p
-    return total / (2 ** len(w) * math.factorial(p) * math.prod(w))
-
-
-def _fraction_corner_sum(w, r, p) -> float:
-    """:func:`_fraction_power_sum`, rounded once."""
-    return float(_fraction_power_sum(w, r, p))
-
-
 @given(
     st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6),
     st.lists(st.floats(1e-9, 1e-3), min_size=1, max_size=2),
@@ -236,29 +218,29 @@ def test_point_evaluators_exact_with_tiny_weights(big, tiny, frac):
     w = big + tiny
     x = frac * float(np.sum(w))
     m = len(w)
-    assert density_at(w, x) == _fraction_corner_sum(w, x, m - 1)
-    assert cdf_at(w, x) == _fraction_corner_sum(w, x, m)
+    assert density_at(w, x) == float(corner_sum(w, x, m - 1))
+    assert cdf_at(w, x) == float(corner_sum(w, x, m))
 
 
 def test_density_at_tiny_weight_direction():
     # two weights of 1e-8 beside (0.6, 0.8): the density at 0 is the
     # two-weight triangle's 0.625 up to O(1e-16)
-    assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == _fraction_corner_sum(
-        (1e-8, 1e-8, 0.6, 0.8), 0.0, 3
-    )
+    assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == float(corner_sum((1e-8, 1e-8, 0.6, 0.8), 0.0, 3))
     assert density_at((1e-8, 1e-8, 0.6, 0.8), 0.0) == pytest.approx(0.625, rel=1e-15)
 
 
 @st.composite
-def central_weight_batches(draw):
-    """``(B, m)`` batches of live weights in (0, 1], as a unit direction has them.
+def exact_corner_cases(draw):
+    """A ``(B, m)`` batch of positive weights and a point, for the exact corner sums.
 
     Rows mix exponents and full mantissas, may hold weights just above
-    ``RELATIVE_WEIGHT_FLOOR`` times the peak, and may tie corners at an
-    exact zero sum: two equal weights, or ``w_0 = w_1 + w_2`` in dyadics.
-    Every weight is live, above the floor times its row's peak, as
-    ``sections._central_rows`` leaves them; the public composition covers
-    weights below it.
+    ``RELATIVE_WEIGHT_FLOOR`` times the peak or subnormal ones, and may tie
+    corners at an exact zero sum: two equal weights, or
+    ``w_0 = w_1 + w_2`` in dyadics.  Each row is scaled by its own power of
+    two, so that peaks range over the binades ``2^-1000..2^1000``, which
+    keeps every value finite, and a row may lie wholly above ``2^53``.  The
+    point is 0, or a multiple in ``[-1.1, 1.1]`` of the first row's total
+    or of its smallest weight.
     """
     m = draw(st.integers(2, EXACT_CORNER_WEIGHTS))
     weight = st.one_of(
@@ -269,7 +251,7 @@ def central_weight_batches(draw):
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         row = draw(st.lists(weight, min_size=m, max_size=m))
-        tie = draw(st.sampled_from(("none", "equal", "sum", "floor")))
+        tie = draw(st.sampled_from(("none", "equal", "sum", "floor", "subnormal")))
         if tie == "equal":
             row[1] = row[0]
         elif tie == "sum" and m >= 3:
@@ -278,21 +260,35 @@ def central_weight_batches(draw):
             # at most half the row, so the peak stays
             for k in range(m // 2):
                 row[k] = max(row) * draw(st.floats(1.0001 * RELATIVE_WEIGHT_FLOOR, 1e-12))
+        # the peak to [2^(e-1), 2^e), exactly, for e in -1000..1000
+        scale = draw(st.integers(-1000, 1000)) - math.frexp(max(row))[1]
+        row = [math.ldexp(x, scale) for x in row]
+        if tie == "subnormal":
+            peak = row.index(max(row))
+            for k in [k for k in range(m) if k != peak][: m // 2]:
+                row[k] = draw(st.floats(5e-324, 2.0**-1022, exclude_max=True))
         rows.append(row)
-    w = np.array(rows) / max(1.0, np.max(rows))
-    assume(np.all(w.min(axis=1) > RELATIVE_WEIGHT_FLOOR * w.max(axis=1)))
-    return w
+    w = np.array(rows)
+    assume(np.all(w > 0.0))
+    unit = draw(st.sampled_from((0.0, sum(rows[0]), min(rows[0]))))
+    return w, draw(st.floats(-1.1, 1.1)) * unit
 
 
-@given(central_weight_batches())
-@example(np.array([[1.0, 1.0], [0.5, 0.5]]))
-@example(np.array([[1.0, 0.5, 0.5], [0.75, 0.5, 0.25]]))
-@example(np.array([[1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.25, 0.25]]))
-@example(np.array([[1.0, 2e-14, 0.3], [0.7, 0.70000000000001, 1.5e-14]]))
-@example(np.full((1, EXACT_CORNER_WEIGHTS), 0.125))
+@given(exact_corner_cases())
+@example((np.array([[1.0, 1.0], [0.5, 0.5]]), 0.0))
+@example((np.array([[1.0, 0.5, 0.5], [0.75, 0.5, 0.25]]), 0.0))
+@example((np.array([[1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.25, 0.25]]), 0.25))
+@example((np.array([[1.0, 2e-14, 0.3], [0.7, 0.70000000000001, 1.5e-14]]), -0.3))
+@example((np.full((1, EXACT_CORNER_WEIGHTS), 0.125), 0.0))
+@example((np.array([[2.0**1000, 3.0 * 2.0**999, 2.0**60], [2.0**-1000, 5e-324, 2.0**-1001]]), 2.0**999))
 @settings(deadline=None, max_examples=150)
-def test_exact_central_densities_are_density_at_bitwise(w):
-    assert _exact_central_densities(w) == [density_at(row, 0.0) for row in w]
+def test_exact_corner_sums_match_the_fraction_reference_bitwise(case):
+    # each density and distribution function value of the batch is the
+    # exact rational rounded once, whatever the binades of its weights
+    w, r = case
+    m = w.shape[1]
+    for p in (m - 1, m):
+        assert _truncated_power_sums(w, r, p) == [float(corner_sum(row, r, p)) for row in w]
 
 
 @given(
@@ -306,7 +302,7 @@ def test_cdf_spread_exact_for_small_x(big, tiny, x):
     # it kept only the absolute accuracy of each, about 1e-16
     w = np.array(big + tiny or [x])
     m = w.size
-    want = float(_fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m))
+    want = float(corner_sum(w, x, m) - corner_sum(w, -x, m))
     assert _density_and_spread(w, x)[1] == want
 
 
@@ -317,7 +313,7 @@ def test_cdf_spread_float_path(m):
     rng = np.random.default_rng(m)
     w = rng.uniform(0.25, 1.0, m)
     for x in (1e-6, 0.3, 1.0, float(np.sum(w)) + 1.0):
-        want = _fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m)
+        want = corner_sum(w, x, m) - corner_sum(w, -x, m)
         assert _density_and_spread(w, x)[1] == pytest.approx(float(want), rel=1e-12)
 
 
@@ -328,7 +324,7 @@ def test_closed_form_exact_with_small_weights():
     w = [3.0, 2.75, 2.46875, 0.0625, 0.05078125, 0.05078125, 0.05078125]
     f = density_closed_form(w)
     for mid in f.midpoints:
-        assert f(mid) == _fraction_corner_sum(w, mid, len(w) - 1)
+        assert f(mid) == float(corner_sum(w, mid, len(w) - 1))
 
 
 @given(weights_st)
@@ -395,7 +391,7 @@ def test_fourier_inversion(w, r):
 
 
 def _kernel_terms(w, r, p):
-    """The float corner terms ``_truncated_power_sum`` sums, built the same way."""
+    """The float corner terms ``_truncated_power_sums`` sums, built the same way."""
     shifts, parity = _corner_shifts(np.abs(np.asarray(w, dtype=float)))
     d = r - shifts
     live = d > 0.0
@@ -495,7 +491,7 @@ def test_density_and_spread_match_the_separate_sums(m):
         if m > 1:
             assert density_x == density_at(w, x)
         if m <= 8:
-            assert spread == float(_fraction_power_sum(w, x, m) - _fraction_power_sum(w, -x, m))
+            assert spread == float(corner_sum(w, x, m) - corner_sum(w, -x, m))
         else:
             shifts, parity = _corner_shifts(w)
             hi, lo = x - shifts, -x - shifts

@@ -24,6 +24,7 @@ from cube_sections.search import (
 )
 from cube_sections.sections import diagonal_direction, normalized_section
 from cube_sections.weights import InvalidInputError, as_unit_vector
+from fraction_reference import corner_sum
 
 SQRT10 = math.sqrt(10.0)
 SPECIAL = np.array([1.0, 1.0, 2.0, 2.0]) / SQRT10
@@ -74,6 +75,15 @@ def test_refine_snaps_to_diagonal():
     assert refined is not None
     assert np.all(refined == refined[0])  # exact snap, not just close
     assert np.linalg.norm(refined) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_refine_does_not_depend_on_the_scale(scale):
+    # the seed's norm overflowed at 1e200, which raised, and underflowed to
+    # 0 at 1e-200, which lost the seed as if it were the zero vector
+    for seed in ((1.0, 1.0), (3.0, 1.0, 2.0)):
+        k = len(seed)
+        np.testing.assert_array_equal(refine_critical(scale * np.array(seed)), diagonal_direction(k, k))
 
 
 def test_refine_collapses_small_coordinates():
@@ -373,16 +383,6 @@ def test_classify_diagonals(direction, expected):
     assert classify_critical_point(direction) == expected
 
 
-def _exact_central_density(w) -> Fraction:
-    """``f_w(0)`` of nonzero rational weights, an exact corner sum."""
-    total = Fraction(0)
-    for signs in itertools.product((-1, 1), repeat=len(w)):
-        s = sum(d * x for d, x in zip(signs, w))
-        if s > 0:
-            total += (-1) ** signs.count(-1) * s ** (len(w) - 1)
-    return total / (2 ** len(w) * math.factorial(len(w) - 1) * math.prod(w))
-
-
 def test_four_diagonal_of_five_rises_into_its_zero_coordinate():
     # sigma(a) = |a| 2 pi f_a(0), so sigma(eps, 1/2, 1/2, 1/2, 1/2) exceeds
     # sigma at eps = 0 exactly when (1 + eps^2) f_a(0)^2 exceeds f(0)^2 of
@@ -390,7 +390,7 @@ def test_four_diagonal_of_five_rises_into_its_zero_coordinate():
     # 3/100, the cube law's 27 rather than a square law's 9
     half = [Fraction(1, 2)] * 4
     rise = [
-        (1 + eps**2) * _exact_central_density([eps, *half]) ** 2 - _exact_central_density(half) ** 2
+        (1 + eps**2) * corner_sum([eps, *half], 0, 4) ** 2 - corner_sum(half, 0, 3) ** 2
         for eps in (Fraction(1, 100), Fraction(3, 100))
     ]
     assert rise[0] > 0

@@ -2,14 +2,13 @@ import importlib
 import json
 import math
 import pkgutil
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cube_sections
-from cube_sections import cli, density, sections, weights
+from cube_sections import cli, sections, weights
 from cube_sections.casework import n3_cyclic_sum, n4_case_balance
 from cube_sections.criticality import cone_balance, criticality_residuals
 from cube_sections.density import MAX_CLOSED_FORM_WEIGHTS, density_at
@@ -31,6 +30,7 @@ from cube_sections.weights import (
     as_unit_vector,
     nonzero_weights,
 )
+from fraction_reference import corner_sum
 
 interior_st = st.lists(
     st.floats(0.05, 1.0, allow_nan=False), min_size=3, max_size=6
@@ -410,16 +410,12 @@ def test_slab_identity_near_degenerate(a):
 
 
 def _exact_facet(u, k):
-    """Slice and spread of facet ``k`` from the exact integer corner sums."""
+    """Slice and spread of facet ``k`` from the exact rational corner sums."""
     rest = np.delete(u, k)
-    w = np.abs(rest[rest != 0.0])
-    m = w.size
-    h = abs(float(u[k]))
-    q, weights, even, odd, (hi, lo) = density._dyadic_corners(w.tolist(), [h, -h])
-    den = 2**m * math.prod(weights) * math.factorial(m - 1)
-    f = Fraction(density._integer_power_sum(even, odd, hi, m - 1) * q, den)
-    spread = density._integer_power_sum(even, odd, hi, m) - density._integer_power_sum(even, odd, lo, m)
-    return 2.0**rest.size * float(np.linalg.norm(rest)) * float(f), float(Fraction(spread, den * m))
+    w = rest[rest != 0.0]
+    m, h = w.size, abs(float(u[k]))
+    spread = corner_sum(w, h, m) - corner_sum(w, -h, m)
+    return 2.0**rest.size * float(np.linalg.norm(rest)) * float(corner_sum(w, h, m - 1)), float(spread)
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
