@@ -14,16 +14,10 @@ from .casework import (
     Case,
     QuadResidual,
     TripleRoot,
-    gaussian_heuristic,
-    gaussian_heuristic_match,
     n3_cyclic_sum,
     n3_identity_check,
-    n3_relation,
     n4_case_balance,
     n4_case_dispatch,
-    n4_case_residual,
-    n4_system_triple_equations,
-    n4_system_unequal_equations,
     pairwise_balance,
     solve_n4_system_triple,
     solve_n4_system_unequal,
@@ -34,13 +28,11 @@ from .criticality import (
     cone_balance,
     criticality_residuals,
     grad_sinc_product_integral,
-    interior_condition,
     sinc_product_integral,
 )
 from .density import (
     MAX_CLOSED_FORM_WEIGHTS,
     cdf_at,
-    characteristic_function,
     density_at,
     density_by_convolution,
     density_closed_form,
@@ -51,7 +43,6 @@ from .oracles import (
     clt_diagonal_asymptote,
     monte_carlo_section,
     sinc_product_quadrature,
-    worker_count,
 )
 from .piecewise import PiecewisePolynomial
 from .search import (
@@ -105,7 +96,6 @@ __all__ = [
     "cdf_at",
     "central_volume",
     "central_volumes",
-    "characteristic_function",
     "classify_critical_point",
     "clt_diagonal_asymptote",
     "cone_balance",
@@ -117,19 +107,12 @@ __all__ = [
     "diagonal_direction",
     "diagonal_section_volume",
     "facet_section_volume",
-    "gaussian_heuristic",
-    "gaussian_heuristic_match",
     "grad_sinc_product_integral",
-    "interior_condition",
     "monte_carlo_section",
     "n3_cyclic_sum",
     "n3_identity_check",
-    "n3_relation",
     "n4_case_balance",
     "n4_case_dispatch",
-    "n4_case_residual",
-    "n4_system_triple_equations",
-    "n4_system_unequal_equations",
     "nonzero_weights",
     "normalized_section",
     "pairwise_balance",
@@ -142,5 +125,4 @@ __all__ = [
     "slab_identity_check",
     "solve_n4_system_triple",
     "solve_n4_system_unequal",
-    "worker_count",
 ]

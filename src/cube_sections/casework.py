@@ -3,9 +3,10 @@
 Comparing two coordinates of a critical direction balances two integrals of
 the remaining weights' density (``pairwise_balance``).  With one remaining
 weight the density is a box and the balance collapses to a cubic in three
-variables (``n3_relation``); with two remaining weights it is a trapezoid
-whose three linear pieces split the balance into four sign regions, Cases
-A-D (``n4_case_residual``).  Chasing the cases over all coordinate
+variables, whose cyclic sum ``n3_cyclic_sum`` factors in closed form; with
+two remaining weights it is a trapezoid whose three linear pieces split the
+balance into four sign regions, Cases A-D (``n4_case_dispatch``,
+``n4_case_balance``).  Chasing the cases over all coordinate
 substitutions reduces the 4-dimensional classification to two small
 polynomial systems.  Their lex Groebner bases are triangular and stored
 here as integer polynomials in ``a1``, so both are solved exactly: an integer
@@ -33,20 +34,14 @@ __all__ = [
     "QuadResidual",
     "Case",
     "pairwise_balance",
-    "n3_relation",
     "n3_cyclic_sum",
     "n3_identity_check",
     "n4_case_dispatch",
-    "n4_case_residual",
     "n4_case_balance",
-    "n4_system_unequal_equations",
-    "n4_system_triple_equations",
     "solve_n4_system_unequal",
     "solve_n4_system_triple",
     "TripleRoot",
     "INTERIOR_BOUND_TRIPLE",
-    "gaussian_heuristic",
-    "gaussian_heuristic_match",
 ]
 
 _UNIT_TOL = 1e-9
@@ -61,8 +56,8 @@ def _require_unit(arr: np.ndarray):
         raise InvalidInputError("direction must have unit norm")
 
 
-def _sized_vector(a, size: int, *, allow_zero: bool = False) -> np.ndarray:
-    arr = as_weight_vector(a, allow_zero=allow_zero)
+def _sized_vector(a, size: int) -> np.ndarray:
+    arr = as_weight_vector(a)
     if arr.size != size:
         raise InvalidInputError(f"expected a {size}-vector")
     return arr
@@ -110,27 +105,8 @@ def pairwise_balance(a, i: int, j: int) -> QuadResidual:
     return QuadResidual(lhs=lhs, rhs=rhs, residual=lhs - rhs)
 
 
-def n3_relation(a, *, validate: bool = True) -> float:
-    """The 3-dimensional balance cubic ``a1 + a2 - a3 - a1 a2^2 - a1^2 a2 - a1 a2 a3``.
-
-    Vanishes at interior critical directions with ``a1 != a2``.  With
-    ``validate`` the input must satisfy ``0 < a1 <= a2 <= a3 < 1``, unit
-    norm and the interior condition ``a3 < a1 + a2``; disable it to
-    evaluate cyclic rearrangements.
-    """
-    arr = _sized_vector(a, 3)
-    a1, a2, a3 = (float(x) for x in arr)
-    if validate:
-        if not (0.0 < a1 <= a2 <= a3 < 1.0):
-            raise InvalidInputError("coordinates must satisfy 0 < a1 <= a2 <= a3 < 1")
-        _require_unit(arr)
-        if not a3 < a1 + a2:
-            raise InvalidInputError("interior condition a3 < a1 + a2 violated")
-    return _n3_cubic(a1, a2, a3)
-
-
 def _n3_cubic(a1: float, a2: float, a3: float) -> float:
-    """The cubic of :func:`n3_relation` at validated floats."""
+    """The 3-dimensional balance cubic; zero at interior critical ``a1 != a2``."""
     return a1 + a2 - a3 - a1 * a2**2 - a1**2 * a2 - a1 * a2 * a3
 
 
@@ -189,7 +165,7 @@ _CASE_SIGNS = {
 }
 
 # positive multiplier turning the pairwise-balance difference of (b1, b2)
-# against b3 X3 + b4 X4 into the (factored) case polynomial
+# against b3 X3 + b4 X4 into the case polynomial of ``_case_residual``
 _BALANCE_FACTOR = {
     Case.A: lambda b1, b2, b3, b4: 8.0 * b1 * b2 * b3 * b4,
     Case.B: lambda b1, b2, b3, b4: 4.0 * b2 * b3 * b4,
@@ -213,27 +189,13 @@ def n4_case_dispatch(b) -> tuple[Case, ...]:
     return tuple(tags)
 
 
-def n4_case_residual(b, case: Case, *, factored: bool = False) -> float:
-    """The polynomial residual of one case, in its published arrangement.
+def _case_residual(b1: float, b2: float, b3: float, b4: float, case: Case) -> float:
+    """The case polynomial at validated floats.
 
-    Cases A and C carry a ``(b2 - b1)`` prefactor before the quoted
-    equation applies; ``factored=True`` returns the prefactored product,
-    which vanishes at ``b1 = b2`` regardless of the rest.
-
-    Raises
-    ------
-    InvalidInputError
-        If ``b`` violates the ordering/normalization or the case's sign
-        conditions (small negative slack 1e-12 is tolerated for boundary
-        evaluations).
+    Cases A and C carry their ``(b2 - b1)`` prefactor, so they vanish at
+    ``b1 = b2`` regardless of the rest.  The sign conditions of the case
+    must hold, up to a slack of 1e-12 for boundary evaluations.
     """
-    return _case_residual(*_validate_b(b), Case(case), factored)
-
-
-def _case_residual(
-    b1: float, b2: float, b3: float, b4: float, case: Case, factored: bool
-) -> float:
-    """:func:`n4_case_residual` at validated floats."""
     s1, s2 = _case_signs(b1, b2, b3, b4)
     w1, w2 = _CASE_SIGNS[case]
     if w1 * s1 < -1e-12 or w2 * s2 < -1e-12:
@@ -242,65 +204,31 @@ def _case_residual(
         res = (b1 + b2 + b3 - b4) ** 2 * (1.0 + b1 * b2) - 8.0 * b1 * b2 * b3 * (
             b1 + b2
         )
-        return (b2 - b1) * res if factored else res
+        return (b2 - b1) * res
     if case is Case.B:
         return (b2**2 - b1**2) * (1.0 + b2**2 - 2.0 * b2 * (b3 + b4)) - (
             1.0 - b2**2
         ) * (b3 - b4) ** 2
     if case is Case.C:
         res = b1 + b2 - b4 - b1 * b2**2 - b1**2 * b2 - b1 * b2 * b4
-        return (b2 - b1) * res if factored else res
-    res = 8.0 * b1 * b3 * b4 * (1.0 - b2**2) - (b1 - b2 + b3 + b4) ** 2 * (
+        return (b2 - b1) * res
+    return 8.0 * b1 * b3 * b4 * (1.0 - b2**2) - (b1 - b2 + b3 + b4) ** 2 * (
         b1 + b2 - b1**2 * b2 - b1 * b2**2
     )
-    return res
 
 
 def n4_case_balance(b, case: Case) -> float:
     """Case residual renormalized back to the raw pairwise balance.
 
-    Dividing the factored case polynomial by its positive conversion
-    factor recovers ``lhs - rhs`` of the (b1, b2) balance, so the values
-    agree across every region boundary.
+    Dividing the case polynomial by its positive conversion factor
+    recovers ``lhs - rhs`` of the (b1, b2) balance, so the values agree
+    across every region boundary.  ``b`` must be ordered and unit, and in
+    the case's sign region, as :func:`_case_residual` requires.
     """
     b1, b2, b3, b4 = _validate_b(b)
     case = Case(case)
-    value = _case_residual(b1, b2, b3, b4, case, True)
+    value = _case_residual(b1, b2, b3, b4, case)
     return value / _BALANCE_FACTOR[case](b1, b2, b3, b4)
-
-
-def n4_system_unequal_equations(x) -> np.ndarray:
-    """Residuals of the system pinning ``a1 = a2 != a3`` candidates.
-
-    Unknowns ``(a1, a3, a4)``; equations: sphere radius, the shared
-    pairwise sum constraint ``(a1 + a3 + a4) a4 = 1``, and Case A at the
-    substitution ``(a1, a3, a1, a4)``.
-    """
-    a1, a3, a4 = (float(v) for v in _sized_vector(x, 3, allow_zero=True))
-    u = 2.0 * a1 + a3 - a4
-    return np.array(
-        [
-            (a1 + a3 + a4) * a4 - 1.0,
-            2.0 * a1**2 + a3**2 + a4**2 - 1.0,
-            u**2 * (1.0 + a1 * a3) - 8.0 * a1**2 * a3 * (a1 + a3),
-        ]
-    )
-
-
-def n4_system_triple_equations(x) -> np.ndarray:
-    """Residuals of the system pinning ``a1 = a2 = a3`` candidates.
-
-    Unknowns ``(a1, a4)``; sphere radius plus Case D at the substitution
-    ``(a1, a4, a1, a1)``.
-    """
-    a1, a4 = (float(v) for v in _sized_vector(x, 2, allow_zero=True))
-    return np.array(
-        [
-            3.0 * a1**2 + a4**2 - 1.0,
-            8.0 * a1**3 * (1.0 - a4**2)
-            - (3.0 * a1 - a4) ** 2 * (a1 + a4) * (1.0 - a1 * a4),
-        ]
-    )
 
 
 # The systems' lex Groebner bases (a4 > a3 > a1), computed once with sympy
@@ -464,36 +392,3 @@ def solve_n4_system_triple() -> list[TripleRoot]:
         TripleRoot(a1=a1, a4=a4, admissible=a1 > INTERIOR_BOUND_TRIPLE)
         for a1, a4 in _solve_triangular(_TRIPLE_ELIMINANT, _TRIPLE_COORDINATES)
     ]
-
-
-def _std_normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def gaussian_heuristic(r: float, s: float) -> float:
-    """``G(r, s) = ((1 - r^2)/r) * integral of the standard normal over [s - 2r, s]``.
-
-    The Gaussian surrogate for the pairwise balance: when the remaining
-    weight sum is approximately normal, criticality forces
-    ``G(a1, a1 + a2) = G(a2, a1 + a2)``, whose only solution is ``a1 = a2``.
-    """
-    if not 0.0 < r < 1.0:
-        raise InvalidInputError("need 0 < r < 1")
-    return (1.0 - r**2) / r * (_std_normal_cdf(s) - _std_normal_cdf(s - 2.0 * r))
-
-
-def gaussian_heuristic_match(a1: float) -> float:
-    """Solve ``G(a1, a1 + x) = G(x, a1 + x)`` for ``x`` in (0, 1).
-
-    Numerically recovers ``x = a1``, the Gaussian-limit version of the
-    all-coordinates-equal conclusion.
-    """
-    if not 0.0 < a1 < 1.0:
-        raise InvalidInputError("need 0 < a1 < 1")
-    from scipy.optimize import brentq
-
-    def h(x: float) -> float:
-        s = a1 + x
-        return gaussian_heuristic(a1, s) - gaussian_heuristic(x, s)
-
-    return float(brentq(h, 1e-9, 1.0 - 1e-9, xtol=1e-14))

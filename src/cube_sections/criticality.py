@@ -84,7 +84,6 @@ __all__ = [
     "grad_sinc_product_integral",
     "criticality_residuals",
     "cone_balance",
-    "interior_condition",
     "DEFAULT_CRITICALITY_TOL",
 ]
 
@@ -284,16 +283,12 @@ def grad_sinc_product_integral(a) -> np.ndarray:
         return np.ldexp(_sinc_table(b).grad, -2 * e)
 
 
-def interior_condition(a) -> bool:
-    """Strict inequality ``|a_k| < sum_{i != k} |a_i|`` for every ``k``.
+def _interior(w: np.ndarray) -> bool:
+    """Strict inequality ``|w_k| < sum_{i != k} |w_i|`` for every ``k``.
 
     Fails exactly on directions whose section degenerates toward a face:
     coordinate vectors, two-coordinate diagonals, and their boundary cone.
     """
-    return _interior(as_weight_vector(a))
-
-
-def _interior(w: np.ndarray) -> bool:
     ab = np.abs(w)
     return bool(2.0 * np.max(ab) < np.sum(ab))
 

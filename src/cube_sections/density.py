@@ -55,14 +55,13 @@ from functools import partial
 import numpy as np
 
 from .piecewise import PiecewisePolynomial
-from .weights import InvalidInputError, as_weight_vector, nonzero_weights
+from .weights import InvalidInputError, _offset, nonzero_weights
 
 __all__ = [
     "density_closed_form",
     "density_by_convolution",
     "density_at",
     "cdf_at",
-    "characteristic_function",
     "MAX_CLOSED_FORM_WEIGHTS",
 ]
 
@@ -423,7 +422,14 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
         (x,), bits, rows = _exact_tables(w, [r])
         den, shift = 2**m * math.factorial(p), bits * (m - p)
         # the sum carries 2^(-bits p) and the product 2^(-bits m)
-        return [(_half_sum(table, x, p) << shift) / (den * prod) for table, prod in rows]
+        out = []
+        for table, prod in rows:
+            try:
+                out.append((_half_sum(table, x, p) << shift) / (den * prod))
+            except OverflowError:
+                # a density beyond the float range (a CDF is at most 1)
+                out.append(math.inf)
+        return out
     _check_weight_count(m)
     out = []
     for row in w:
@@ -657,7 +663,7 @@ def density_at(a, r: float) -> float:
     """
     w = _prepared(a)
     m = w.size
-    r = float(r)
+    r = _offset(r)
     if m == 1:
         h = float(w[0])
         return 0.5 / h if -h <= r < h else 0.0
@@ -668,21 +674,9 @@ def cdf_at(a, r: float) -> float:
     """Distribution function of ``sum a_i X_i`` at ``r``."""
     w = _prepared(a)
     m = w.size
-    r = float(r)
+    r = _offset(r)
     if m == 1:
         h = float(w[0])
         return min(max((r + h) / (2.0 * h), 0.0), 1.0)
     return _truncated_power_sums(w[None], r, m)[0]
 
-
-def characteristic_function(a, t):
-    """``prod_i sin(a_i t) / (a_i t)`` with ``sin(0)/0 = 1``.
-
-    Stable for small arguments: each factor is evaluated as a sinc, which
-    has no cancellation near zero.  Accepts scalar or array ``t``.
-    """
-    w = as_weight_vector(a, allow_zero=True)
-    t = np.asarray(t, dtype=float)
-    z = np.multiply.outer(t, w) / np.pi
-    out = np.prod(np.sinc(z), axis=-1)
-    return float(out) if out.ndim == 0 else out

@@ -15,12 +15,11 @@ Nothing here touches the piecewise-polynomial machinery, so agreement with
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import InvalidInputError, as_weight_vector, nonzero_weights
+from .weights import InvalidInputError, _offset, as_weight_vector, nonzero_weights
 
 __all__ = [
     "QuadratureConfig",
@@ -28,19 +27,7 @@ __all__ = [
     "sinc_product_quadrature",
     "monte_carlo_section",
     "clt_diagonal_asymptote",
-    "worker_count",
 ]
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Worker cap: explicit argument, else CUBE_SECTIONS_THREADS, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("CUBE_SECTIONS_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -143,9 +130,13 @@ def sinc_product_quadrature(a, cfg: QuadratureConfig | None = None, *, cosine_sh
     Raises
     ------
     InvalidInputError
-        If fewer than two coordinates are nonzero (not integrable).
+        If fewer than two coordinates are nonzero (not integrable), or the
+        shift is not finite.
     """
     cfg = cfg or QuadratureConfig()
+    if not math.isfinite(cosine_shift):
+        # the panel width pi / (sum w + |shift|) would be 0 or NaN
+        raise InvalidInputError("cosine shift must be finite")
     w = nonzero_weights(as_weight_vector(a))
     if w.size < 2:
         raise InvalidInputError(
@@ -202,7 +193,6 @@ def monte_carlo_section(
     samples: int = 1_000_000,
     slab_halfwidth: float | None = None,
     rng_seed: int = 0,
-    threads: int | None = None,
 ) -> MonteCarloEstimate:
     """Estimate ``s_a(r)`` by counting cube samples in a thin slab.
 
@@ -210,12 +200,14 @@ def monte_carlo_section(
     ``P_hat = fraction of |<x, a> - r| <= eps``; the symmetric slab makes
     the leading bias ``O(eps^2)`` at ``r = 0``.  Batches draw from streams
     spawned off one seed sequence, and aggregation uses exact integer
-    counts, so the result is reproducible for a fixed ``rng_seed``
-    regardless of the worker count.
+    counts, so the result is reproducible for a fixed ``rng_seed``.
     """
     arr = as_weight_vector(a)
+    r = _offset(r)
     if samples < 1:
         raise InvalidInputError("need at least one sample")
+    if rng_seed < 0:
+        raise InvalidInputError("rng seed must be nonnegative")
     eps = slab_halfwidth if slab_halfwidth is not None else 0.01 * float(
         np.sum(np.abs(arr))
     )
@@ -233,15 +225,7 @@ def monte_carlo_section(
         proj = rng.uniform(-1.0, 1.0, size=(size, arr.size)) @ arr
         return int(np.count_nonzero(np.abs(proj - r) <= eps))
 
-    jobs = list(zip(sizes, streams))
-    nworkers = worker_count(threads)
-    if nworkers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            hits = sum(pool.map(run, jobs))
-    else:
-        hits = sum(map(run, jobs))
+    hits = sum(map(run, zip(sizes, streams)))
 
     p_hat = hits / samples
     factor = 2.0**arr.size * float(np.linalg.norm(arr)) / (2.0 * eps)

@@ -85,6 +85,8 @@ class ScanConfig:
             raise InvalidInputError("scan needs dimension at least 2")
         if self.seed_count < 0:
             raise InvalidInputError("seed_count must be nonnegative")
+        if self.rng_seed < 0:
+            raise InvalidInputError("rng_seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,9 @@ from .density import (
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
+    _binade_scaled,
     _nonzero_weights,
+    _offset,
     as_unit_vector,
     as_weight_vector,
 )
@@ -86,7 +88,13 @@ def parallel_section(a, r: float, *, with_flag: bool = False):
     -------
     float, or (float, bool) when ``with_flag`` is set.
     """
-    value, flag = _section_at(as_weight_vector(a), float(r))
+    # {<x, a> = r} is {<x, a / 2^e> = r / 2^e}: with the peak of a in
+    # [1/2, 1) neither the norm nor the density over- or underflows, and an
+    # offset scaled past the float range lies past the support
+    arr, e = _binade_scaled(as_weight_vector(a))
+    with np.errstate(over="ignore"):
+        r = float(np.ldexp(_offset(r), -e))
+    value, flag = _section_at(arr, r)
     return (value, flag) if with_flag else value
 
 

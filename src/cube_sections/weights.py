@@ -8,7 +8,8 @@ module normalizes silently.
 
 A public function of the package coerces and validates its input once,
 through ``as_weight_vector``, ``as_unit_vector`` or ``nonzero_weights``
-(``sections.central_volumes`` checks its batch of rows in one pass).
+(``sections.central_volumes`` checks its batch of rows in one pass), and
+an offset ``r`` through ``_offset``.
 Past that boundary only validated float arrays travel, and the private
 forms ``_unit_vector`` and ``_nonzero_weights`` do the same arithmetic on
 them without checking again.
@@ -81,6 +82,14 @@ def _binade_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """``arr / 2^e`` with ``2^(e-1) <= max |arr| < 2^e``, and ``e``; exact but for subnormals."""
     e = math.frexp(max(map(abs, arr.tolist())))[1]
     return np.ldexp(arr, -e), e
+
+
+def _offset(r) -> float:
+    """``r`` as a float, rejecting NaN; an infinite offset lies past any support."""
+    r = float(r)
+    if math.isnan(r):
+        raise InvalidInputError("offset must not be NaN")
+    return r
 
 
 def nonzero_weights(a) -> np.ndarray:

@@ -16,18 +16,13 @@ from cube_sections.casework import (
     Case,
     _horner,
     _isolate,
+    _n3_cubic,
     _solve_triangular,
     _sturm_chain,
-    gaussian_heuristic,
-    gaussian_heuristic_match,
     n3_cyclic_sum,
     n3_identity_check,
-    n3_relation,
     n4_case_balance,
     n4_case_dispatch,
-    n4_case_residual,
-    n4_system_triple_equations,
-    n4_system_unequal_equations,
     pairwise_balance,
     solve_n4_system_triple,
     solve_n4_system_unequal,
@@ -77,24 +72,16 @@ def test_pairwise_balance_validation():
 
 
 def test_n3_relation_vanishes_on_diagonal():
-    assert n3_relation(unit([1.0, 1.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
+    assert _n3_cubic(*unit([1.0, 1.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
+    assert _n3_cubic(0.9, 0.2, 0.3) == pytest.approx(
+        0.9 + 0.2 - 0.3 - 0.9 * 0.04 - 0.81 * 0.2 - 0.9 * 0.2 * 0.3
+    )
 
 
-def test_n3_relation_validation():
-    with pytest.raises(InvalidInputError):
-        n3_relation(unit([1.0, 1.0]))
-    with pytest.raises(InvalidInputError):
-        n3_relation(unit([0.8, 0.5, 0.33]))  # unordered
-    with pytest.raises(InvalidInputError):
-        n3_relation([0.2, 0.3, 0.4])  # not unit
-    with pytest.raises(InvalidInputError):
-        n3_relation(unit([1.0, 1.0, 2.0]))  # boundary of interior cone
+def test_n3_cyclic_sum_validation():
     for wrong_length in ([0.5, 0.5], [0.5] * 4):
         with pytest.raises(InvalidInputError):
             n3_cyclic_sum(wrong_length)
-    assert n3_relation((0.9, 0.2, 0.3), validate=False) == pytest.approx(
-        0.9 + 0.2 - 0.3 - 0.9 * 0.04 - 0.81 * 0.2 - 0.9 * 0.2 * 0.3
-    )
 
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
@@ -147,7 +134,7 @@ def test_case_validation():
     with pytest.raises(InvalidInputError):
         n4_case_dispatch([1.0, 2.0, 1.0, 2.0])  # not unit
     with pytest.raises(InvalidInputError):
-        n4_case_residual(CASE_POINTS[Case.D], Case.A)
+        n4_case_balance(CASE_POINTS[Case.D], Case.A)
 
 
 def test_case_balances_match_pairwise_residual():
@@ -173,8 +160,8 @@ def test_case_residuals_vanish_at_special_direction():
     b = np.sort(SPECIAL)
     tags = n4_case_dispatch(b)
     assert Case.A in tags and Case.B in tags
-    assert n4_case_residual(b, Case.A, factored=True) == pytest.approx(0.0, abs=1e-15)
-    assert n4_case_residual(b, Case.B) == pytest.approx(0.0, abs=1e-15)
+    assert n4_case_balance(b, Case.A) == pytest.approx(0.0, abs=1e-15)
+    assert n4_case_balance(b, Case.B) == pytest.approx(0.0, abs=1e-15)
 
 
 # -- polynomial systems ----------------------------------------------------
@@ -199,12 +186,7 @@ def triple_system(a1, a4):
 
 def test_unequal_system_at_known_root():
     root = np.array([1.0, 2.0, 2.0]) / SQRT10
-    np.testing.assert_allclose(
-        n4_system_unequal_equations(root), 0.0, atol=1e-15
-    )
-    for bad in ([0.5, 0.5], [0.5] * 4, [math.nan, 0.5, 0.5]):
-        with pytest.raises(InvalidInputError):
-            n4_system_unequal_equations(bad)
+    np.testing.assert_allclose(unequal_system(*root), 0.0, atol=1e-15)
 
 
 def test_solve_unequal_system():
@@ -222,12 +204,7 @@ def test_solve_unequal_system():
 
 
 def test_triple_system_at_known_root():
-    np.testing.assert_allclose(
-        n4_system_triple_equations((0.5, 0.5)), 0.0, atol=1e-15
-    )
-    for bad in ([0.5], [0.5] * 3, [math.nan, 0.5]):
-        with pytest.raises(InvalidInputError):
-            n4_system_triple_equations(bad)
+    np.testing.assert_allclose(triple_system(0.5, 0.5), 0.0, atol=1e-15)
 
 
 def test_solve_triple_system():
@@ -243,9 +220,7 @@ def test_solve_triple_system():
     assert not low.admissible
     assert low.a1 < INTERIOR_BOUND_TRIPLE < high.a1
     for root in roots:
-        np.testing.assert_allclose(
-            n4_system_triple_equations((root.a1, root.a4)), 0.0, atol=1e-12
-        )
+        np.testing.assert_allclose(triple_system(root.a1, root.a4), 0.0, atol=1e-12)
     payload = high.to_dict()
     assert payload == {"a1": high.a1, "a4": high.a4, "admissible": True}
     with mpmath.workdps(50):
@@ -256,36 +231,16 @@ def test_solve_triple_system():
 
 
 @pytest.mark.parametrize(
-    "system, names, equations, eliminant, coordinates",
+    "system, names, eliminant, coordinates",
     [
-        (
-            unequal_system,
-            "a1 a3 a4",
-            n4_system_unequal_equations,
-            _UNEQUAL_ELIMINANT,
-            _UNEQUAL_COORDINATES,
-        ),
-        (
-            triple_system,
-            "a1 a4",
-            n4_system_triple_equations,
-            _TRIPLE_ELIMINANT,
-            _TRIPLE_COORDINATES,
-        ),
+        (unequal_system, "a1 a3 a4", _UNEQUAL_ELIMINANT, _UNEQUAL_COORDINATES),
+        (triple_system, "a1 a4", _TRIPLE_ELIMINANT, _TRIPLE_COORDINATES),
     ],
 )
-def test_stored_bases_are_the_sympy_lex_bases(
-    system, names, equations, eliminant, coordinates
-):
+def test_stored_bases_are_the_sympy_lex_bases(system, names, eliminant, coordinates):
     import sympy as sp
 
     unknowns = sp.symbols(names)
-    # the coded equations are the system
-    rng = np.random.default_rng(7)
-    for x in rng.uniform(-1.0, 1.0, (20, len(unknowns))):
-        exact = [float(v) for v in system(*map(Fraction, x))]
-        np.testing.assert_allclose(equations(x), exact, rtol=1e-13, atol=1e-14)
-
     # the stored eliminant is squarefree and, up to a constant and a power
     # of a1, the univariate element of the lex basis (a4 > a3 > a1)
     a1 = unknowns[0]
@@ -400,27 +355,3 @@ def test_stated_triple_root_is_provably_not_a_root():
 def test_interior_bound_value():
     assert INTERIOR_BOUND_TRIPLE == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-15)
 
-
-# -- Gaussian surrogate ------------------------------------------------------
-
-
-def test_gaussian_heuristic_value():
-    from scipy.stats import norm
-
-    expected = (0.75 / 0.5) * (norm.cdf(1.0) - norm.cdf(0.0))
-    assert gaussian_heuristic(0.5, 1.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_gaussian_heuristic_validation():
-    with pytest.raises(InvalidInputError):
-        gaussian_heuristic(0.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        gaussian_heuristic(1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        gaussian_heuristic_match(1.5)
-
-
-@given(st.floats(0.05, 0.95))
-@settings(deadline=None, max_examples=25)
-def test_gaussian_heuristic_forces_equality(a1):
-    assert gaussian_heuristic_match(a1) == pytest.approx(a1, abs=1e-8)

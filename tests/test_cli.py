@@ -213,6 +213,12 @@ def test_density_object_round_trips(capsys):
     assert rebuilt.total_integral == pytest.approx(1.0, abs=1e-14)
 
 
+def test_density_beyond_the_float_range(capsys):
+    data = run_json(capsys, "density", "-a", "2e-309,2e-309", "--at", "0")
+    assert data["density"] == math.inf
+    assert data["cdf"] == 0.5
+
+
 # -- oracle ------------------------------------------------------------------------
 
 
@@ -299,6 +305,22 @@ def test_usage_errors_exit_2(capsys, argv):
     code = main(list(argv))
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "-a", "1,1", "--method", "quad", "-r", "nan"),
+        ("oracle", "-a", "1,1", "--method", "quad", "-r", "inf"),
+        ("oracle", "-a", "1,1", "--method", "mc", "--samples", "10", "-r", "nan"),
+        ("oracle", "-a", "1,1", "--method", "mc", "--samples", "10", "--rng", "-1"),
+        ("density", "-a", "1,1", "--at", "nan"),
+        ("scan", "--dim", "3", "--seeds", "1", "--rng", "-1"),
+    ],
+)
+def test_invalid_numbers_exit_2(capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_import_loads_no_scipy():

@@ -14,7 +14,6 @@ from cube_sections.criticality import (
     cone_balance,
     criticality_residuals,
     grad_sinc_product_integral,
-    interior_condition,
     sinc_product_integral,
 )
 from cube_sections.density import MAX_CLOSED_FORM_WEIGHTS, density_at
@@ -220,11 +219,11 @@ def test_corner_rows_do_not_depend_on_the_batch():
 
 
 def test_interior_condition():
-    assert interior_condition((1.0, 1.0, 1.0))
-    assert interior_condition((1.0, 1.0, 1.9))
-    assert not interior_condition((1.0, 1.0, 2.0))
-    assert not interior_condition((1.0, 0.0, 0.0))
-    assert not interior_condition((1.0, 1.0, 0.0))
+    assert criticality_residuals((1.0, 1.0, 1.0)).interior
+    assert criticality_residuals((1.0, 1.0, 1.9)).interior
+    assert not criticality_residuals((1.0, 1.0, 2.0)).interior
+    assert not criticality_residuals((1.0, 0.0, 0.0)).interior
+    assert not criticality_residuals((1.0, 1.0, 0.0)).interior
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from cube_sections.oracles import (
     clt_diagonal_asymptote,
     monte_carlo_section,
     sinc_product_quadrature,
-    worker_count,
 )
 from cube_sections.sections import (
     central_volume,
@@ -19,21 +18,6 @@ from cube_sections.sections import (
     parallel_section,
 )
 from cube_sections.weights import InvalidInputError
-
-
-# -- worker count ---------------------------------------------------------
-
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("CUBE_SECTIONS_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CUBE_SECTIONS_THREADS", "3")
-    assert worker_count() == 3
-    assert worker_count(2) == 2  # explicit argument wins
-    monkeypatch.setenv("CUBE_SECTIONS_THREADS", "not-a-number")
-    assert worker_count() == 1
-    assert worker_count(0) == 1
-    assert worker_count(-5) == 1
 
 
 # -- quadrature -----------------------------------------------------------
@@ -118,14 +102,6 @@ def test_monte_carlo_offset_slab():
     a = (1.0, 1.0, 1.0)
     est = monte_carlo_section(a, r=1.0, samples=200_000, rng_seed=3)
     assert est.mean == pytest.approx(parallel_section(a, 1.0), rel=0.05)
-
-
-def test_monte_carlo_deterministic_across_threads():
-    a = (0.3, 0.4, 0.5)
-    one = monte_carlo_section(a, samples=300_000, rng_seed=5, threads=1)
-    four = monte_carlo_section(a, samples=300_000, rng_seed=5, threads=4)
-    assert one.mean == four.mean
-    assert one.std_error == four.std_error
 
 
 def test_monte_carlo_seed_streams():

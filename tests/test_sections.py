@@ -100,6 +100,31 @@ def test_parallel_section_degenerate_flag():
     assert (value, flag) == (0.0, False)
 
 
+@pytest.mark.parametrize(
+    "a, r",
+    [
+        ((1.0, 2.0, 3.0), 0.5),
+        ((0.3, -0.4, 0.0, 0.5), -0.35),
+        ((2.0, 0.0), 2.0),
+        (np.arange(1.0, 11.0), 7.0),
+    ],
+)
+def test_parallel_section_does_not_depend_on_the_scale(a, r):
+    # {<x, 2^k a> = 2^k r} is the same hyperplane for every k
+    want = parallel_section(a, r, with_flag=True)
+    for k in (-1000, 0, 1000):
+        assert parallel_section(np.ldexp(a, k), math.ldexp(r, k), with_flag=True) == want
+
+
+@pytest.mark.parametrize(
+    "a, want",
+    [([1e300] * 3, 3.0 * SQRT3), ([1e-200] * 3, 3.0 * SQRT3), ([2e-309] * 2, 2.0 * SQRT2)],
+)
+def test_parallel_section_at_extreme_scales(a, want):
+    assert parallel_section(a, 0.0) == pytest.approx(want, rel=1e-15)
+    assert parallel_section(a, 1e308) == 0.0  # past the support, however scaled
+
+
 def test_facet_and_cone_at_three_diagonal():
     a = diagonal_direction(3, 3)
     for k in range(3):

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cube_sections.density import cdf_at, density_at
+from cube_sections.oracles import monte_carlo_section, sinc_product_quadrature
+from cube_sections.search import ScanConfig
 from cube_sections.weights import (
     InvalidInputError,
     RELATIVE_WEIGHT_FLOOR,
@@ -31,6 +36,38 @@ def test_as_weight_vector_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         as_weight_vector([0.0, 0.0])
     assert as_weight_vector([0.0, 0.0], allow_zero=True).size == 2
+
+
+@pytest.mark.parametrize(
+    "fn, args, kwargs",
+    [
+        (density_at, ([1.0, 1.0], math.nan), {}),
+        (cdf_at, ([1.0, 1.0, 1.0], math.nan), {}),
+        (cdf_at, ([1.0], math.nan), {}),
+        (parallel_section, ([1.0, 2.0], math.nan), {}),
+        (monte_carlo_section, ([1.0, 1.0],), {"r": math.nan, "samples": 10}),
+        (monte_carlo_section, ([1.0, 1.0],), {"samples": 10, "rng_seed": -1}),
+        (sinc_product_quadrature, ([1.0, 1.0],), {"cosine_shift": math.inf}),
+        (sinc_product_quadrature, ([1.0, 1.0],), {"cosine_shift": -math.inf}),
+        (sinc_product_quadrature, ([1.0, 1.0],), {"cosine_shift": math.nan}),
+        (ScanConfig, (3, 10, -1), {}),
+    ],
+    ids=[
+        "density-nan",
+        "cdf-nan",
+        "box-cdf-nan",
+        "section-nan",
+        "mc-nan",
+        "mc-negative-seed",
+        "quad-inf",
+        "quad-minus-inf",
+        "quad-nan",
+        "scan-negative-seed",
+    ],
+)
+def test_bad_numbers_are_rejected_at_the_boundary(fn, args, kwargs):
+    with pytest.raises(InvalidInputError):
+        fn(*args, **kwargs)
 
 
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8).filter(lambda v: any(v)))
