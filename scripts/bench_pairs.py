@@ -6,7 +6,8 @@ machine's speed falls on both sides alike.  Prints one JSON object, the
 ``end_to_end`` block of a ``BENCH_*.json`` entry: per metric the quartiles
 of each side (``statistics.quantiles``, inclusive method) and
 ``change_wins``, the number of pairs in which the change is better in the
-direction ``BENCHMARK.json`` declares.  For example
+direction ``BENCHMARK.json`` declares, and ``runs``, every run's value of
+each side in run order.  For example
 
     python scripts/bench_pairs.py ../parent . --workload grid-n3 --seed 1 --pairs 10
 
@@ -90,6 +91,7 @@ def main():
             "parent": quartiles(values["parent"]),
             "change": quartiles(values["change"]),
             "change_wins": wins,
+            "runs": values,
         }
     print(json.dumps(block, indent=2))
 

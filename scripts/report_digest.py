@@ -13,7 +13,11 @@ spread over 30 binades: ``density_at`` and ``cdf_at`` at points across the
 support for m = 2..8 weights, the breakpoints and coefficients of
 ``density_closed_form``, and ``facet_section_volume`` and
 ``slab_identity_check`` at every facet of directions with n = 4..9
-coordinates.  A last line gives the SHA-256 of the CSV that
+coordinates.  An ``oracles`` line digests the independent checks:
+``sinc_product_quadrature`` of fixed unit directions at shifts 0, 0.3 and
+1.5, and the mean, standard error and slab half-width of
+``monte_carlo_section`` at three fixed seeds.  A last line gives the
+SHA-256 of the CSV that
 ``cli.main(["fig1-grid", "--resolution", "91"])`` prints, the Figure 1 grid
 of 16,471 three-dimensional central volumes.  Run it once per checkout, for
 example
@@ -49,6 +53,9 @@ DIMENSIONS = range(10, 19)
 UNIFORM_SEEDS = (1, 7, 11)
 NORMAL_PER_DIMENSION = 15
 GRID_RESOLUTION = 91
+ORACLE_DIRECTIONS = ((1.0, 1.0), (0.6, 0.8), (1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0), (1.0, 2.0, 2.0, 1.0), (0.2, 0.2, 0.2, 0.9, 1.3))
+ORACLE_SHIFTS = (0.0, 0.3, 1.5)
+MONTE_CARLO_SEEDS = (0, 1, 2)
 
 
 def direction_sets():
@@ -88,6 +95,18 @@ def exact_view_values(cube_sections, sections):
             for k in range(n):
                 yield sections.facet_section_volume(a, k)
                 yield from sections.slab_identity_check(a, k)
+
+
+def oracle_values(cube_sections):
+    """Quadrature of every oracle direction at every shift, then Monte Carlo estimates."""
+    units = [cube_sections.as_unit_vector(a) for a in ORACLE_DIRECTIONS]
+    for u in units:
+        for shift in ORACLE_SHIFTS:
+            yield cube_sections.sinc_product_quadrature(u, cosine_shift=shift)
+    for u in units[2:4]:
+        for seed in MONTE_CARLO_SEEDS:
+            est = cube_sections.monte_carlo_section(u, r=0.1, samples=200_000, rng_seed=seed)
+            yield from (est.mean, est.std_error, est.slab_halfwidth)
 
 
 def exact_facet(u, k):
@@ -197,6 +216,12 @@ def main():
     digest = hashlib.sha256(values.tobytes()).hexdigest()
     elapsed = time.perf_counter() - start
     print(f"exact views mixed-binade seed=0 values={values.size} sha256={digest} seconds={elapsed:.2f}", flush=True)
+
+    start = time.perf_counter()
+    values = np.array(list(oracle_values(cube_sections)))
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    elapsed = time.perf_counter() - start
+    print(f"oracles values={values.size} sha256={digest} seconds={elapsed:.2f}", flush=True)
 
     start = time.perf_counter()
     csv = io.StringIO()

@@ -39,7 +39,6 @@ from .density import (
 )
 from .oracles import (
     MonteCarloEstimate,
-    QuadratureConfig,
     clt_diagonal_asymptote,
     monte_carlo_section,
     sinc_product_quadrature,
@@ -86,7 +85,6 @@ __all__ = [
     "MonteCarloEstimate",
     "PiecewisePolynomial",
     "QuadResidual",
-    "QuadratureConfig",
     "ScanConfig",
     "SectionReport",
     "TripleRoot",

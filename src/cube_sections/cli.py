@@ -51,8 +51,6 @@ def _parse_direction(text: str) -> np.ndarray:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"non-numeric coordinate in {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty direction")
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise argparse.ArgumentTypeError("coordinates must be finite")

@@ -51,7 +51,8 @@ Off the kinks ``Phi_k`` equals the full-table derivative
 ``(m-1) sum P delta_k s_+^(m-2)`` of ``Phi``; the half-table form keeps the
 right-continuous box density at ``m = 2``.  A zeroth truncated power is the
 step ``[s >= 0]`` and a negative one vanishes, which is the derivative of
-a step away from its jump.  Signs return through ``sgn(a_k)``.
+a step away from its jump.  The table is built on ``|a|``; signs return
+through ``sgn(a_k)`` on the gradient and ``sgn(a_j) sgn(a_k)`` on the Hessian.
 
 One kernel evaluates the table for a batch of weight vectors, one per
 row.  Powers are repeated products and every sum runs in an order fixed by
@@ -121,10 +122,10 @@ def _corner_sum(x: np.ndarray) -> np.ndarray:
 
 
 class _CornerRows(NamedTuple):
-    """``I`` and its derivatives in the magnitudes, one entry per row.
+    """``I`` and its derivatives, one entry per row.
 
-    ``reduced`` holds the terms ``2 pi f_reduced_k(w_k)``; ``grad`` and
-    ``hessian`` are derivatives in ``w``, and ``transverse`` is
+    ``reduced`` holds the terms ``2 pi f_reduced_k(|a_k|)``; ``grad`` and
+    ``hessian`` are derivatives in the signed ``a``, and ``transverse`` is
     ``d2I/da_i^2`` along a further coordinate ``a_i = 0``.
     """
 
@@ -135,20 +136,24 @@ class _CornerRows(NamedTuple):
     transverse: np.ndarray | None
 
 
-def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
+def _corner_rows(a: np.ndarray, *, hessian: bool = False) -> _CornerRows:
     """Evaluate the corner-table identities of the module docstring per row.
 
-    ``w`` is a ``(B, m)`` array of live (positive, above the relative
-    floor) magnitudes.  Every row is computed with elementwise arithmetic
-    and fixed-order sums, so its result does not depend on the other rows;
-    the Hessian is built only on request.
+    ``a`` is a ``(B, m)`` array of live (nonzero, above the relative
+    floor) signed coordinates; the table is built on ``w = |a|``.  Every
+    row is computed with elementwise arithmetic and fixed-order sums, so
+    its result does not depend on the other rows; the Hessian is built
+    only on request.
     """
-    count, m = w.shape
+    count, m = a.shape
     _check_weight_count(m)
     rows = max(1, _CORNER_BUDGET // (m << m))
     if count > rows:
-        parts = [_corner_rows(w[i : i + rows], hessian=hessian) for i in range(0, count, rows)]
+        parts = [_corner_rows(a[i : i + rows], hessian=hessian) for i in range(0, count, rows)]
         return _CornerRows(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
+
+    sgn = np.sign(a)
+    w = np.abs(a)
 
     # doubling adds the weights in index order, whatever the batch; its
     # parities (-1)^(#positive) become (-1)^(#negative), and delta_k = +1
@@ -173,7 +178,7 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
     value = scale * sums[:, -1]
     phi = 2.0 * (m - 1) * sums[:, :-1]
     reduced = scale[:, None] * w * phi
-    grad = scale[:, None] * phi - value[:, None] / w
+    grad = sgn * (scale[:, None] * phi - value[:, None] / w)
     if not hessian:
         return _CornerRows(value, reduced, grad, None, None)
 
@@ -197,7 +202,7 @@ def _corner_rows(w: np.ndarray, *, hessian: bool = False) -> _CornerRows:
         curvature = scale * (m - 1) * (m - 2)
         hw += curvature[:, None, None] * cross
         transverse = curvature * cross[:, 0, 0] / 3.0
-    return _CornerRows(value, reduced, grad, hw, transverse)
+    return _CornerRows(value, reduced, grad, sgn[:, :, None] * sgn[:, None, :] * hw, transverse)
 
 
 class _SincRows(NamedTuple):
@@ -221,8 +226,8 @@ def _sinc_rows(arr: np.ndarray, *, hessian: bool = False) -> _SincRows:
 
     ``arr`` is a ``(B, n)`` array of nonzero weight vectors.  Rows are
     grouped by their number of live coordinates, with one kernel call per
-    group, so each row's numbers are the ones it gets alone.  Signs return
-    through ``sgn(a_k)``.  The Hessian is exact at zero coordinates too:
+    group, so each row's numbers are the ones it gets alone.  The Hessian
+    is exact at zero coordinates too:
     there ``I`` is even, so only the transverse ``(2 pi / 3) f_live''(0)``
     survives, on the diagonal.
     """
@@ -238,34 +243,25 @@ def _sinc_rows(arr: np.ndarray, *, hessian: bool = False) -> _SincRows:
         sel = np.flatnonzero(width == m)
         cols = np.nonzero(live[sel])[1].reshape(-1, m)
         at = (sel[:, None], cols)
-        sgn = np.sign(arr[at])
-        rows = _corner_rows(mag[at], hessian=hessian)
+        rows = _corner_rows(arr[at], hessian=hessian)
         value[sel] = rows.value
         reduced[at] = rows.reduced
-        grad[at] = sgn * rows.grad
+        grad[at] = rows.grad
         if hessian:
-            full[sel[:, None, None], cols[:, :, None], cols[:, None, :]] = (
-                sgn[:, :, None] * sgn[:, None, :] * rows.hessian
-            )
+            full[sel[:, None, None], cols[:, :, None], cols[:, None, :]] = rows.hessian
             row, dead = np.nonzero(~live[sel])
             full[sel[row], dead, dead] = rows.transverse[row]
     return _SincRows(value, live, reduced, grad, full)
 
 
-class _SincTable(NamedTuple):
-    """One row of :class:`_SincRows`, with ``value`` a float."""
+def _balance_residuals(table: _SincRows, u: np.ndarray) -> np.ndarray:
+    """Rows of the residuals ``r_k = (reduced_k - sigma (1 - u_k^2)) / sigma`` at unit rows ``u``.
 
-    value: float
-    live: np.ndarray
-    reduced: np.ndarray
-    grad: np.ndarray
-    hessian: np.ndarray | None
-
-
-def _sinc_table(arr: np.ndarray, *, hessian: bool = False) -> _SincTable:
-    """:func:`_sinc_rows` of the validated weight vector ``arr`` alone."""
-    value, *fields = _sinc_rows(arr[None, :], hessian=hessian)
-    return _SincTable(float(value[0]), *(None if f is None else f[0] for f in fields))
+    ``table`` is :func:`_sinc_rows` of ``u``; a coordinate off ``live`` has
+    residual 0.
+    """
+    sigma = table.value[:, None]
+    return np.where(table.live, (table.reduced - sigma * (1.0 - u**2)) / sigma, 0.0)
 
 
 def grad_sinc_product_integral(a) -> np.ndarray:
@@ -280,7 +276,7 @@ def grad_sinc_product_integral(a) -> np.ndarray:
     """
     b, e = _binade_scaled(as_weight_vector(a))
     with np.errstate(over="ignore"):
-        return np.ldexp(_sinc_table(b).grad, -2 * e)
+        return np.ldexp(_sinc_rows(b[None]).grad[0], -2 * e)
 
 
 def _interior(w: np.ndarray) -> bool:
@@ -346,8 +342,8 @@ def criticality_residuals(a, tol: float = DEFAULT_CRITICALITY_TOL) -> Criticalit
     """
     u = as_unit_vector(a)
     n = u.size
-    table = _sinc_table(u)
-    sigma = table.value
+    table = _sinc_rows(u[None])
+    sigma = float(table.value[0])
     mu = None if n < 2 else 2.0 ** (n - 2) * sigma / ((n - 1) * math.pi)
     note = None
     if np.any(u == 0.0):
@@ -368,9 +364,7 @@ def criticality_residuals(a, tol: float = DEFAULT_CRITICALITY_TOL) -> Criticalit
             residuals=None, max_residual=None, verdict=degenerate, **common
         )
 
-    residuals = np.where(
-        table.live, (table.reduced - sigma * (1.0 - u**2)) / sigma, 0.0
-    )
+    residuals = _balance_residuals(table, u[None])[0]
     max_residual = float(np.max(np.abs(residuals)))
     verdict = "critical" if max_residual <= tol else "not-critical"
     return CriticalityReport(

@@ -94,6 +94,14 @@ _TABLE_BLOCK_BITS = 14
 
 _MERGE_REL_TOL = 1e-13
 
+# peak binades e (peak in [2^(e-1), 2^e)) where the float corner sums of
+# 9..20 live weights, each above 1e-14 * 2^(e-1) > 2^(e-48.5), run as given:
+# the 2^m terms, below (40 * 2^e)^m, sum below 2^1024 for e <= 44, and the
+# product, above 2^(20 e - 48.5 * 19 - 1), is a normal float for e >= -5.
+# Outside, a row is divided by 2^e, exactly, and its value scaled back;
+# inside it is not, since np.power is not exactly scale-equivariant
+_FLOAT_BINADES = range(-5, 45)
+
 
 def _corner_shifts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corner sums ``s_eps = eps . w`` and parities ``(-1)^(#positive)``.
@@ -416,6 +424,10 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
     :func:`_compensated_sum`, which leaves no summation error to speak of;
     the terms themselves carry rounding errors of order ``u |term|``, so
     the result still cancels when some weights are small against the others.
+    A row whose peak lies outside ``_FLOAT_BINADES`` is summed at ``w`` and
+    ``r`` over the peak's power of two ``2^e``, and the sum, homogeneous of
+    degree ``p - m``, is scaled back by ``2^(e (p - m))``: a value past the
+    float range becomes an infinity, as in the exact branch.
     """
     m = w.shape[1]
     if m <= EXACT_CORNER_WEIGHTS and math.isfinite(r):
@@ -432,20 +444,24 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
         return out
     _check_weight_count(m)
     out = []
-    for row in w:
-        total = float(np.sum(row))
-        if not -total < r < total:
-            # off the support: 0, or 1 right of it for the CDF (p = m)
-            out.append(float(p == m and r > 0.0))
-            continue
-        shifts, parity = _corner_shifts(row)
-        np.subtract(r, shifts, out=shifts)
-        terms = _positive_powers(shifts, parity, p)
-        # free the table before the sum, which would hold it beside the fold's
-        # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
-        del shifts, parity
-        scale = 1.0 / (2.0**m * float(np.prod(row)) * math.factorial(p))
-        out.append(scale * _compensated_sum(terms))
+    with np.errstate(over="ignore"):  # only a rescaled row overflows, to an infinity
+        for row in w:
+            e = math.frexp(float(row.max()))[1]
+            e = 0 if e in _FLOAT_BINADES else e
+            row, x = np.ldexp(row, -e), float(np.ldexp(r, -e))
+            total = float(np.sum(row))
+            if not -total < x < total:
+                # off the support: 0, or 1 right of it for the CDF (p = m)
+                out.append(float(p == m and x > 0.0))
+                continue
+            shifts, parity = _corner_shifts(row)
+            np.subtract(x, shifts, out=shifts)
+            terms = _positive_powers(shifts, parity, p)
+            # free the table before the sum, which would hold it beside the fold's
+            # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
+            del shifts, parity
+            scale = 1.0 / (2.0**m * float(np.prod(row)) * math.factorial(p))
+            out.append(float(np.ldexp(scale * _compensated_sum(terms), e * (p - m))))
     return out
 
 

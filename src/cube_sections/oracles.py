@@ -15,14 +15,13 @@ Nothing here touches the piecewise-polynomial machinery, so agreement with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .weights import InvalidInputError, _offset, as_weight_vector, nonzero_weights
 
 __all__ = [
-    "QuadratureConfig",
     "MonteCarloEstimate",
     "sinc_product_quadrature",
     "monte_carlo_section",
@@ -30,80 +29,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the oscillatory quadrature.
+# Gauss-Legendre nodes per panel
+_PANEL_ORDER = 16
+# the default truncation certifies an envelope tail below this
+_TAIL_BOUND_TARGET = 1e-10
+# quadrature nodes summed per chunk, which bounds the memory of a call with
+# many panels (a large shift); a call with at most this many nodes, such as
+# every shift-0 call with sum |w| <= 6.4, is summed in one chunk
+_CHUNK_NODES = 1 << 17
 
-    ``truncation`` defaults to the point where the envelope bound
-    ``prod |sinc(w_i t)| <= 1 / (t^m prod w_i)`` certifies a tail below
-    ``tail_bound_target``, clamped to [20, 4000]; the clamp is harmless
-    because the tail beyond the truncation is then added analytically.
+
+def _truncation(w: np.ndarray, truncation: float | None) -> float:
+    """``truncation``, or where the envelope bound certifies the tail.
+
+    The bound ``prod |sinc(w_i t)| <= 1 / (t^m prod w_i)`` puts the tail
+    beyond ``T`` below ``_TAIL_BOUND_TARGET``; ``T`` is clamped to
+    [20, 4000], which is harmless because the tail beyond the truncation
+    is then added analytically.
     """
-
-    panel_order: int = 16
-    truncation: float | None = None
-    tail_bound_target: float = 1e-10
-
-    def resolve_truncation(self, w: np.ndarray) -> float:
-        if self.truncation is not None:
-            return float(self.truncation)
-        m = w.size
-        prod_w = float(np.prod(w))
-        t = ((m - 1) * prod_w * self.tail_bound_target) ** (-1.0 / (m - 1))
-        return float(min(max(t, 20.0), 4000.0))
+    if truncation is not None:
+        return float(truncation)
+    m = w.size
+    prod_w = float(np.prod(w))
+    t = ((m - 1) * prod_w * _TAIL_BOUND_TARGET) ** (-1.0 / (m - 1))
+    return float(min(max(t, 20.0), 4000.0))
 
 
 def _trig_product_terms(w: np.ndarray, shift: float) -> list[tuple[float, float, bool]]:
     """Expand ``prod sin(w_i t) * cos(shift t)`` into pure sin/cos terms.
 
-    Returns triples ``(coefficient, frequency >= 0, is_sine)``.
-    """
-    # (coef, omega, is_sine); product-to-sum, one factor at a time
-    terms: list[tuple[float, float, bool]] = [(1.0, float(w[0]), True)]
+    Returns triples ``(coefficient, frequency >= 0, is_sine)``.  The
+    factors are folded in one at a time by the product-to-sum rules
 
-    def fold(terms, v, factor_is_sine):
+        sin x sin v = (cos(x - v) - cos(x + v)) / 2,
+        cos x sin v = (sin(x + v) - sin(x - v)) / 2,
+        sin x cos v = (sin(x + v) + sin(x - v)) / 2,
+        cos x cos v = (cos(x + v) + cos(x - v)) / 2,
+
+    and a negative frequency flips the sign of a sine term.
+    """
+    terms = [(1.0, float(w[0]), True)]
+    factors = [(float(v), True) for v in w[1:]] + ([(float(shift), False)] if shift != 0.0 else [])
+    for v, factor_is_sine in factors:
         out = []
         for coef, om, is_sine in terms:
-            if factor_is_sine and is_sine:
-                # sin x sin v = (cos(x-v) - cos(x+v)) / 2
-                out.append((0.5 * coef, om - v, False))
-                out.append((-0.5 * coef, om + v, False))
-            elif factor_is_sine and not is_sine:
-                # cos x sin v = (sin(x+v) - sin(x-v)) / 2
-                out.append((0.5 * coef, om + v, True))
-                out.append((-0.5 * coef, om - v, True))
-            elif not factor_is_sine and is_sine:
-                # sin x cos v = (sin(x+v) + sin(x-v)) / 2
-                out.append((0.5 * coef, om + v, True))
-                out.append((0.5 * coef, om - v, True))
-            else:
-                # cos x cos v = (cos(x+v) + cos(x-v)) / 2
-                out.append((0.5 * coef, om + v, False))
-                out.append((0.5 * coef, om - v, False))
-        normalized = []
-        for coef, om, is_sine in out:
-            if om < 0.0:
-                om = -om
-                if is_sine:
-                    coef = -coef
-            normalized.append((coef, om, is_sine))
-        return normalized
-
-    for v in w[1:]:
-        terms = fold(terms, float(v), True)
-    if shift != 0.0:
-        terms = fold(terms, float(shift), False)
+            sine, half = is_sine != factor_is_sine, 0.5 * coef
+            plus = -half if is_sine and factor_is_sine else half
+            minus = -half if factor_is_sine and not is_sine else half
+            for c, f in ((plus, om + v), (minus, om - v)):
+                out.append((-c, -f, True) if sine and f < 0.0 else (c, abs(f), sine))
+        terms = out
     return terms
 
 
 def _tail_trig_integral(m: int, omega: float, is_sine: bool, T: float) -> float:
-    """``int_T^inf trig(omega t) / t^m dt`` by upward recurrence from Si/Ci."""
+    """``int_T^inf trig(omega t) / t^m dt``, ``m >= 2``, by upward recurrence from Si/Ci."""
     if omega == 0.0:
-        if is_sine:
-            return 0.0
-        if m == 1:
-            raise InvalidInputError("divergent tail: constant term with m = 1")
-        return T ** (1 - m) / (m - 1)
+        return 0.0 if is_sine else T ** (1 - m) / (m - 1)
     from scipy.special import sici
 
     si, ci = sici(omega * T)
@@ -117,7 +99,7 @@ def _tail_trig_integral(m: int, omega: float, is_sine: bool, T: float) -> float:
     return s if is_sine else c
 
 
-def sinc_product_quadrature(a, cfg: QuadratureConfig | None = None, *, cosine_shift: float = 0.0) -> float:
+def sinc_product_quadrature(a, *, cosine_shift: float = 0.0, truncation: float | None = None) -> float:
     """``int prod_i sin(a_i t)/(a_i t) * cos(cosine_shift * t) dt`` over the line.
 
     Gauss-Legendre panels no longer than half the fastest oscillation
@@ -125,7 +107,8 @@ def sinc_product_quadrature(a, cfg: QuadratureConfig | None = None, *, cosine_sh
     closed form after expanding the sine product into single-frequency
     terms.  With the default shift 0 this is the raw section integral
     ``I(a)``; a nonzero shift yields ``2 pi f_a(shift)`` for Fourier
-    cross-checks.
+    cross-checks.  ``T`` is ``truncation`` if given, and otherwise where
+    the envelope bound puts the tail below 1e-10, clamped to [20, 4000].
 
     Raises
     ------
@@ -133,7 +116,6 @@ def sinc_product_quadrature(a, cfg: QuadratureConfig | None = None, *, cosine_sh
         If fewer than two coordinates are nonzero (not integrable), or the
         shift is not finite.
     """
-    cfg = cfg or QuadratureConfig()
     if not math.isfinite(cosine_shift):
         # the panel width pi / (sum w + |shift|) would be 0 or NaN
         raise InvalidInputError("cosine shift must be finite")
@@ -143,20 +125,28 @@ def sinc_product_quadrature(a, cfg: QuadratureConfig | None = None, *, cosine_sh
             "sinc-product quadrature needs at least two nonzero weights"
         )
     m = w.size
-    T = cfg.resolve_truncation(w)
+    T = _truncation(w, truncation)
 
     panel = math.pi / (float(np.sum(w)) + abs(cosine_shift))
     count = max(1, int(math.ceil(T / panel)))
-    edges = np.linspace(0.0, T, count + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.panel_order)
-    half = 0.5 * np.diff(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    t = (centers[:, None] + half[:, None] * nodes[None, :]).ravel()
-    quad_w = (half[:, None] * weights[None, :]).ravel()
-    integrand = np.prod(np.sinc(np.multiply.outer(t, w) / np.pi), axis=-1)
-    if cosine_shift != 0.0:
-        integrand = integrand * np.cos(cosine_shift * t)
-    main = float(quad_w @ integrand)
+    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    chunks = []
+    step = _CHUNK_NODES // _PANEL_ORDER
+    for lo in range(0, count, step):
+        # the panel edges, bitwise those of np.linspace(0, T, count + 1)
+        hi = min(lo + step, count)
+        part = np.arange(lo, hi + 1) * (T / count)
+        if hi == count:
+            part[-1] = T
+        half = 0.5 * np.diff(part)
+        centers = 0.5 * (part[:-1] + part[1:])
+        t = (centers[:, None] + half[:, None] * nodes[None, :]).ravel()
+        quad_w = (half[:, None] * weights[None, :]).ravel()
+        integrand = np.prod(np.sinc(np.multiply.outer(t, w) / np.pi), axis=-1)
+        if cosine_shift != 0.0:
+            integrand = integrand * np.cos(cosine_shift * t)
+        chunks.append(float(quad_w @ integrand))
+    main = math.fsum(chunks)
 
     prod_w = float(np.prod(w))
     tail = math.fsum(
@@ -176,12 +166,7 @@ class MonteCarloEstimate:
     slab_halfwidth: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "slab_halfwidth": self.slab_halfwidth,
-        }
+        return asdict(self)
 
 
 _BATCH = 1 << 18
@@ -191,14 +176,14 @@ def monte_carlo_section(
     a,
     r: float = 0.0,
     samples: int = 1_000_000,
-    slab_halfwidth: float | None = None,
     rng_seed: int = 0,
 ) -> MonteCarloEstimate:
     """Estimate ``s_a(r)`` by counting cube samples in a thin slab.
 
     The estimator is ``2^n |a| P_hat / (2 eps)`` with
-    ``P_hat = fraction of |<x, a> - r| <= eps``; the symmetric slab makes
-    the leading bias ``O(eps^2)`` at ``r = 0``.  Batches draw from streams
+    ``P_hat = fraction of |<x, a> - r| <= eps`` and the half-width
+    ``eps = 0.01 sum |a_i|``; the symmetric slab makes the leading bias
+    ``O(eps^2)`` at ``r = 0``.  Batches draw from streams
     spawned off one seed sequence, and aggregation uses exact integer
     counts, so the result is reproducible for a fixed ``rng_seed``.
     """
@@ -208,10 +193,9 @@ def monte_carlo_section(
         raise InvalidInputError("need at least one sample")
     if rng_seed < 0:
         raise InvalidInputError("rng seed must be nonnegative")
-    eps = slab_halfwidth if slab_halfwidth is not None else 0.01 * float(
-        np.sum(np.abs(arr))
-    )
+    eps = 0.01 * float(np.sum(np.abs(arr)))
     if not eps > 0.0:
+        # the weights are so small that the half-width underflows
         raise InvalidInputError("slab halfwidth must be positive")
 
     sizes = [_BATCH] * (samples // _BATCH)

@@ -5,8 +5,7 @@ which keeps the coefficients well conditioned: the raw monomial basis on an
 interval far from the origin mixes wildly different scales, while the
 midpoint-local basis keeps every power of order ``(h/2)^i``.
 
-Evaluation is right-continuous; one-sided limits are exposed separately for
-the geometric boundary conventions of the section code.
+Evaluation is right-continuous.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import numpy as np
 from .weights import InvalidInputError
 
 __all__ = ["PiecewisePolynomial"]
-
-_BASIS = "midpoint-local"
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,6 @@ class PiecewisePolynomial:
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
 
-    @property
-    def degree(self) -> int:
-        return self.coefficients.shape[1] - 1
-
     # -- evaluation ------------------------------------------------------
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
@@ -90,29 +83,6 @@ class PiecewisePolynomial:
         inside = (xv >= self.breakpoints[0]) & (xv < self.breakpoints[-1])
         out = np.where(inside, out, 0.0)
         return float(out[0]) if scalar else out
-
-    def _eval_piece(self, j: int, x: float) -> float:
-        u = x - self.midpoints[j]
-        c = self.coefficients[j]
-        acc = 0.0
-        for i in range(c.size - 1, -1, -1):
-            acc = acc * u + c[i]
-        return float(acc)
-
-    def one_sided(self, x: float, side: str) -> float:
-        """One-sided limit at ``x`` from the ``"left"`` or ``"right"``."""
-        if side not in ("left", "right"):
-            raise InvalidInputError("side must be 'left' or 'right'")
-        t0, tm = self.support
-        if side == "right":
-            if x < t0 or x >= tm:
-                return 0.0
-            j = min(int(self._piece_index(np.asarray(x))), len(self.midpoints) - 1)
-            return self._eval_piece(max(j, 0), x)
-        if x <= t0 or x > tm:
-            return 0.0
-        j = int(np.searchsorted(self.breakpoints, x, side="left")) - 1
-        return self._eval_piece(min(max(j, 0), len(self.midpoints) - 1), x)
 
     # -- integration -----------------------------------------------------
 
@@ -167,25 +137,5 @@ class PiecewisePolynomial:
         return {
             "breakpoints": [float(t) for t in self.breakpoints],
             "pieces": [[float(c) for c in row] for row in self.coefficients],
-            "basis": _BASIS,
+            "basis": "midpoint-local",
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PiecewisePolynomial":
-        if data.get("basis") != _BASIS:
-            raise InvalidInputError(f"unsupported basis {data.get('basis')!r}")
-        return cls(
-            breakpoints=np.asarray(data["breakpoints"], dtype=float),
-            coefficients=np.asarray(data["pieces"], dtype=float),
-        )
-
-    def to_json(self, **kwargs) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewisePolynomial":
-        import json
-
-        return cls.from_dict(json.loads(text))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criticality import _corner_rows, _degenerate_verdict, _sinc_rows, _sinc_table
+from .criticality import _balance_residuals, _corner_rows, _degenerate_verdict, _sinc_rows
 from .sections import _central, _central_rows, diagonal_direction
 from .weights import InvalidInputError, _binade_scaled, _unit_vector, as_unit_vector, as_weight_vector
 
@@ -145,9 +145,7 @@ def _certified_rows(a: np.ndarray) -> np.ndarray:
     for i, row in enumerate(a):
         u[i] = _unit_vector(row)
     table = _sinc_rows(u)
-    sigma = table.value[:, None]
-    residuals = np.where(table.live, (table.reduced - sigma * (1.0 - u**2)) / sigma, 0.0)
-    balanced = np.abs(residuals).max(axis=1) <= _CERTIFY_TOL
+    balanced = np.abs(_balance_residuals(table, u)).max(axis=1) <= _CERTIFY_TOL
     degenerate = np.array([_degenerate_verdict(row) is not None for row in u], dtype=bool)
     return (balanced | degenerate) & (_gap_rows(u, table.grad) <= _CERTIFY_TOL)
 
@@ -282,7 +280,7 @@ def _residual_rows(x: np.ndarray) -> np.ndarray:
     (an accumulate), so each row is independent of the others.
     """
     a, lam = x[:, :-1], x[:, -1:]
-    grad = np.sign(a) * _corner_rows(np.abs(a)).grad
+    grad = _corner_rows(a).grad
     sphere = 0.5 * ((a * a).cumsum(axis=1)[:, -1:] - 1.0)
     return np.concatenate([grad - lam * a, sphere], axis=1)
 
@@ -327,22 +325,24 @@ def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
     """
     count, n = a.shape
     exits: list[tuple[str, np.ndarray | None]] = [("singular", None)] * count
-    # x = [a, lambda]; the multiplier starts at a . grad I
-    x = np.concatenate([a, (a * _corner_rows(a).grad).cumsum(axis=1)[:, -1:]], axis=1)
-    G = _residual_rows(x)
-    state = (
-        np.arange(count),  # input row
-        x,
-        G,
-        np.abs(G).max(axis=1),  # residual of the accepted iterate
-        np.zeros(count, dtype=int),  # Newton steps taken
-        np.zeros((count, n + 1)),  # current step
-        np.zeros(count, dtype=int),  # halvings of its scale
-        np.zeros(count, dtype=bool),  # whether the row is in a line search
-    )
     eye = np.eye(n)
 
-    with np.errstate(all="ignore"):  # trials may overflow; they are then rejected
+    # a start may overflow, and its row then leaves singular or stalled; a
+    # trial may overflow, and it is then rejected
+    with np.errstate(all="ignore"):
+        # x = [a, lambda]; the multiplier starts at a . grad I
+        x = np.concatenate([a, (a * _corner_rows(a).grad).cumsum(axis=1)[:, -1:]], axis=1)
+        G = _residual_rows(x)
+        state = (
+            np.arange(count),  # input row
+            x,
+            G,
+            np.abs(G).max(axis=1),  # residual of the accepted iterate
+            np.zeros(count, dtype=int),  # Newton steps taken
+            np.zeros((count, n + 1)),  # current step
+            np.zeros(count, dtype=int),  # halvings of its scale
+            np.zeros(count, dtype=bool),  # whether the row is in a line search
+        )
         while state[0].size:
             row, x, G, resid, iters, step, halved, searching = state
             idle = ~searching
@@ -354,13 +354,8 @@ def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
                 new = np.flatnonzero(idle & ~left)
                 if new.size:
                     sub = x[new, :n]
-                    sgn = np.sign(sub)
                     J = np.zeros((new.size, n + 1, n + 1))
-                    J[:, :n, :n] = (
-                        sgn[:, :, None] * sgn[:, None, :]
-                        * _corner_rows(np.abs(sub), hessian=True).hessian
-                        - x[new, n, None, None] * eye
-                    )
+                    J[:, :n, :n] = _corner_rows(sub, hessian=True).hessian - x[new, n, None, None] * eye
                     J[:, :n, n] = -sub
                     J[:, n, :n] = sub
                     steps, solved = _solve_rows(J, -G[new])
@@ -424,8 +419,8 @@ def _tangent_hessian(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is ``I(u) Id + B^T (d2I) B``, read off one corner table.
     """
     basis = np.linalg.svd(u[None, :])[2][1:].T
-    table = _sinc_table(u, hessian=True)
-    return table.value * np.eye(basis.shape[1]) + basis.T @ table.hessian @ basis, basis
+    table = _sinc_rows(u[None], hessian=True)
+    return table.value[0] * np.eye(basis.shape[1]) + basis.T @ table.hessian[0] @ basis, basis
 
 
 def classify_critical_point(u) -> str:

@@ -143,6 +143,24 @@ def test_scan_csv(capsys):
     assert len(lines) == 3
 
 
+def test_scan_pretty(capsys):
+    argv = ("scan", "--dim", "2", "--seeds", "10")
+    points = run_json(capsys, *argv)
+    code, out = run(capsys, *argv, "--format", "pretty")
+    assert code == 0
+    # one block of aligned "key  value" lines per point, each followed by a blank line
+    blocks = out.split("\n\n")
+    assert len(blocks) == len(points) + 1 and blocks[-1] == ""
+    for block, point in zip(blocks, points):
+        width = max(map(len, point))
+        lines = block.splitlines()
+        assert [line[:width].rstrip() for line in lines] == list(point)
+        texts = [line[width + 2 :] for line in lines]
+        assert json.loads(texts[0]) == point["direction"]
+        assert [float(t) for t in texts[1:3]] == [point["sigma"], point["volume"]]
+        assert texts[3:] == [point["classification"], str(point["basin_count"]), str(point["diagonal_k"])]
+
+
 def test_scan_rejects_dim_below_2(capsys):
     code, _ = run(capsys, "scan", "--dim", "1")
     assert code == 2
@@ -208,7 +226,7 @@ def test_density_at_point(capsys):
 def test_density_object_round_trips(capsys):
     data = run_json(capsys, "density", "-a", "1,1")
     assert data["weights"] == [1.0, 1.0]
-    rebuilt = PiecewisePolynomial.from_dict(data)
+    rebuilt = PiecewisePolynomial(data["breakpoints"], data["pieces"])
     assert rebuilt(0.0) == pytest.approx(0.5, rel=1e-14)
     assert rebuilt.total_integral == pytest.approx(1.0, abs=1e-14)
 

@@ -10,7 +10,7 @@ from cube_sections.criticality import (
     DEFAULT_CRITICALITY_TOL,
     ConeBalance,
     _corner_rows,
-    _sinc_table,
+    _sinc_rows,
     cone_balance,
     criticality_residuals,
     grad_sinc_product_integral,
@@ -137,7 +137,7 @@ def test_gradient_at_kinks(a, expected):
 
 
 def test_single_weight_value():
-    assert _sinc_table(np.array([0.0, 2.0, 0.0])).value == pytest.approx(
+    assert _sinc_rows(np.array([[0.0, 2.0, 0.0]])).value[0] == pytest.approx(
         math.pi / 2.0, rel=1e-15
     )
 
@@ -146,7 +146,7 @@ def test_single_weight_value():
     "a", [(0.3, 1.0), (-0.8, 0.5), (0.2, 0.5, 0.6), (1.0, -1.0, 1.5)]
 )
 def test_low_dimension_hessian_finite(a):
-    hess = _sinc_table(np.asarray(a), hessian=True).hessian
+    hess = _sinc_rows(np.array([a]), hessian=True).hessian[0]
     assert hess.shape == (len(a), len(a))
     assert np.all(np.isfinite(hess))
 
@@ -163,11 +163,11 @@ def test_hessian_matches_finite_differences(a, zeros):
     steps = np.where(a == 0.0, 1e-3, 1e-6)
     fd = np.array(
         [
-            (_sinc_table(a + h * e).grad - _sinc_table(a - h * e).grad) / (2.0 * h)
+            (_sinc_rows((a + h * e)[None]).grad[0] - _sinc_rows((a - h * e)[None]).grad[0]) / (2.0 * h)
             for h, e in zip(steps, np.eye(a.size))
         ]
     )
-    hess = _sinc_table(a, hessian=True).hessian
+    hess = _sinc_rows(a[None], hessian=True).hessian[0]
     tol = np.where(np.diag(steps) > 1e-6, 1e-4, 1e-6) * np.max(np.abs(hess))
     assert np.all(np.abs(hess - fd) <= tol)
     assert np.all(hess[:zeros, zeros:] == 0.0)
@@ -197,11 +197,10 @@ def test_gradient_matches_reduced_densities(a):
 def test_hessian_euler_relation(a):
     # the gradient is homogeneous of degree -2, so H a = -2 grad I
     assume(clears_kinks(a))
-    table = _sinc_table(a, hessian=True)
-    scale = np.max(np.abs(table.hessian) @ np.abs(a))
-    np.testing.assert_allclose(
-        table.hessian @ a, -2.0 * table.grad, rtol=0.0, atol=1e-12 * scale
-    )
+    table = _sinc_rows(a[None], hessian=True)
+    hess, grad = table.hessian[0], table.grad[0]
+    scale = np.max(np.abs(hess) @ np.abs(a))
+    np.testing.assert_allclose(hess @ a, -2.0 * grad, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_corner_rows_do_not_depend_on_the_batch():

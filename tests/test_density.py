@@ -348,6 +348,30 @@ def test_density_beyond_the_float_range_is_infinite():
     assert density_at([2e-309, 2e-309], 0.0) == math.inf
     assert density_at([-2e-309, 2e-309], 1e-309) == math.inf
     assert cdf_at([2e-309, 2e-309], 0.0) == 0.5
+    # above 8 weights too: 0.2 / 1e-310 is past the largest float
+    assert density_at([1e-310] * 12, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("m", [9, 12, 16])
+def test_point_evaluators_above_exact_limit_do_not_depend_on_the_scale(m):
+    # sum 2^k w_i X_i has density 2^-k f(r) at 2^k r and the same CDF; the
+    # float corner sums divide a peak outside their safe binades by its
+    # power of two, so both hold bitwise
+    rng = np.random.default_rng(m)
+    w = rng.uniform(0.25, 1.0, m)
+    w = np.ldexp(w, -math.frexp(w.max())[1])  # peak in [1/2, 1)
+    for frac in (-1.1, -0.6, 0.0, 0.35, 0.9):
+        r = frac * float(np.sum(w))
+        for k in (-1000, 0, 1000):
+            scaled, at = np.ldexp(w, k), math.ldexp(r, k)
+            assert density_at(scaled, at) == np.ldexp(density_at(w, r), -k)
+            assert cdf_at(scaled, at) == cdf_at(w, r)
+
+
+@pytest.mark.parametrize("c", [1e38, 1e300, 1e-40])
+def test_point_evaluators_above_exact_limit_at_extreme_scales(c):
+    assert density_at([c] * 9, 0.0) == pytest.approx(density_at(np.ones(9), 0.0) / c, rel=1e-13)
+    assert cdf_at([c] * 9, 0.0) == pytest.approx(0.5, rel=1e-13)
 
 
 # -- Fourier side ------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from cube_sections.criticality import sinc_product_integral
 from cube_sections.density import density_at
 from cube_sections.oracles import (
     MonteCarloEstimate,
-    QuadratureConfig,
+    _truncation,
     clt_diagonal_asymptote,
     monte_carlo_section,
     sinc_product_quadrature,
@@ -24,11 +25,9 @@ from cube_sections.weights import InvalidInputError
 
 
 def test_truncation_resolution():
-    cfg = QuadratureConfig(truncation=123.0)
-    assert cfg.resolve_truncation(np.ones(3)) == 123.0
-    cfg = QuadratureConfig()
-    assert cfg.resolve_truncation(np.ones(2)) == 4000.0  # slow 1/t^2 tail
-    mid = cfg.resolve_truncation(np.ones(6))
+    assert _truncation(np.ones(3), 123.0) == 123.0
+    assert _truncation(np.ones(2), None) == 4000.0  # slow 1/t^2 tail
+    mid = _truncation(np.ones(6), None)
     assert 20.0 < mid < 4000.0
 
 
@@ -68,8 +67,7 @@ def test_quadrature_analytic_tail_dominates():
     # an aggressive truncation forces most of the mass into the closed-form
     # tail, which must not cost accuracy
     a = (1.0, 1.0, 1.0)
-    cfg = QuadratureConfig(truncation=25.0)
-    assert sinc_product_quadrature(a, cfg) == pytest.approx(
+    assert sinc_product_quadrature(a, truncation=25.0) == pytest.approx(
         sinc_product_integral(a), abs=1e-9
     )
 
@@ -80,6 +78,26 @@ def test_quadrature_cosine_shift():
     assert value / (2.0 * math.pi) == pytest.approx(
         density_at(a, 0.5), abs=1e-9
     )
+    # an even number of sine factors expands into cosines, which the
+    # shift's cosine folds by cos x cos v = (cos(x+v) + cos(x-v)) / 2
+    for a in ((1.0, 1.0), (0.6, 0.8), (1.0, 2.0, 2.0, 1.0)):
+        for frac in (0.2, 0.55, 0.9):
+            shift = frac * sum(a)
+            value = sinc_product_quadrature(a, cosine_shift=shift)
+            assert value / (2.0 * math.pi) == pytest.approx(density_at(a, shift), abs=1e-12)
+
+
+def test_quadrature_memory_does_not_grow_with_the_shift():
+    sinc_product_quadrature((0.6, 0.8))  # first-call imports
+    tracemalloc.start()
+    try:
+        # 2 million nodes, far past the support: 168 MB when held at once
+        value = sinc_product_quadrature((0.6, 0.8), cosine_shift=100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value) <= 1e-12
+    assert peak < 24e6
 
 
 def test_quadrature_rejects_single_weight():
@@ -124,7 +142,8 @@ def test_monte_carlo_validation():
     with pytest.raises(InvalidInputError):
         monte_carlo_section((1.0, 1.0), samples=0)
     with pytest.raises(InvalidInputError):
-        monte_carlo_section((1.0, 1.0), slab_halfwidth=0.0)
+        # the half-width 0.01 * 5e-324 underflows to 0
+        monte_carlo_section([5e-324], samples=10)
 
 
 def test_monte_carlo_serializes():

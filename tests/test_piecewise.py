@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +25,6 @@ def test_validation():
 def test_support_and_degree():
     f = triangle()
     assert f.support == (-2.0, 2.0)
-    assert f.degree == 1
     assert f.midpoints.tolist() == [-1.0, 1.0]
 
 
@@ -48,15 +45,6 @@ def test_call_vectorized():
     np.testing.assert_allclose(f(x), [0.0, 0.25, 0.5, 0.25, 0.0])
 
 
-def test_one_sided_limits():
-    f = triangle()
-    assert f.one_sided(2.0, "left") == pytest.approx(0.0)
-    assert f.one_sided(0.0, "left") == pytest.approx(0.5)
-    assert f.one_sided(0.0, "right") == pytest.approx(0.5)
-    with pytest.raises(InvalidInputError):
-        f.one_sided(0.0, "up")
-
-
 def test_total_integral_and_cumulative():
     f = triangle()
     assert f.total_integral == pytest.approx(1.0)
@@ -72,17 +60,3 @@ def test_cumulative_monotone(x, y):
     f = triangle()
     lo, hi = sorted((x, y))
     assert f.cumulative(lo) <= f.cumulative(hi) + 1e-15
-
-
-def test_json_round_trip():
-    f = triangle()
-    data = json.loads(f.to_json())
-    assert data["basis"] == "midpoint-local"
-    g = PiecewisePolynomial.from_json(f.to_json())
-    np.testing.assert_array_equal(g.breakpoints, f.breakpoints)
-    np.testing.assert_array_equal(g.coefficients, f.coefficients)
-
-
-def test_from_dict_rejects_garbage():
-    with pytest.raises(InvalidInputError):
-        PiecewisePolynomial.from_dict({"breakpoints": [0.0, 1.0], "pieces": [[1.0]], "basis": "other"})
