@@ -446,9 +446,11 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
     out = []
     with np.errstate(over="ignore"):  # only a rescaled row overflows, to an infinity
         for row in w:
-            e = math.frexp(float(row.max()))[1]
-            e = 0 if e in _FLOAT_BINADES else e
-            row, x = np.ldexp(row, -e), float(np.ldexp(r, -e))
+            e, x = math.frexp(float(row.max()))[1], r
+            if e in _FLOAT_BINADES:
+                e = 0
+            else:
+                row, x = np.ldexp(row, -e), float(np.ldexp(r, -e))
             total = float(np.sum(row))
             if not -total < x < total:
                 # off the support: 0, or 1 right of it for the CDF (p = m)
@@ -461,7 +463,8 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
             # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
             del shifts, parity
             scale = 1.0 / (2.0**m * float(np.prod(row)) * math.factorial(p))
-            out.append(float(np.ldexp(scale * _compensated_sum(terms), e * (p - m))))
+            value = scale * _compensated_sum(terms)
+            out.append(float(np.ldexp(value, e * (p - m))) if e else value)
     return out
 
 
