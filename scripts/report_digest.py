@@ -144,9 +144,9 @@ def report_spreads(sections, u):
     """The slab spread of every facet, as ``section_report`` takes them."""
     every = getattr(sections, "_all_facet_terms", None)
     if every is not None:
-        return [spread for _, spread in every(u)]
+        return [terms[-1] for terms in every(u)]
     # a checkout without the shared facet table: one kernel call per facet
-    return [sections._facet_terms(u, k)[1] for k in range(u.size)]
+    return [sections._facet_terms(u, k)[-1] for k in range(u.size)]
 
 
 def relative(value, exact):

@@ -3,7 +3,10 @@
 For each scan configuration (dimension, seed count, rng seed) the seeds of
 ``search.scan`` are refined with ``search._refine_seeds`` and one SHA-256 is
 printed over the ``tobytes()`` of every refined vector, in seed order, with a
-fixed marker for a lost seed.  Beside it are the labels of the classes
+fixed marker for a lost seed.  ``max_gap`` is the largest stationarity
+gap over the refined vectors, read as ``search._certified_rows`` reads
+it: ``search._gap_rows`` of ``criticality._sinc_rows`` at the unit rows.
+Beside it are the labels of the classes
 ``search.scan`` reports for the same configuration, in its order, each as
 ``k:label`` with ``k`` the diagonal index or ``-`` off the diagonals, and
 deterministic operation counts of that scan: ``sweeps``, the Newton
@@ -31,6 +34,8 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 # (dimension, seed_count, rng_seed)
 CONFIGS = ((3, 500, 0), (4, 200, 1), (4, 200, 7), (4, 2000, 0), (5, 100, 0))
@@ -95,6 +100,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from cube_sections import criticality, search
+    from cube_sections.weights import _unit_vector
 
     for dimension, seed_count, rng_seed in CONFIGS:
         config = search.ScanConfig(dimension=dimension, seed_count=seed_count, rng_seed=rng_seed)
@@ -105,6 +111,8 @@ def main():
         for vec in refined:
             digest.update(b"lost" if vec is None else vec.tobytes())
         lost = sum(vec is None for vec in refined)
+        unit = np.array([_unit_vector(vec) for vec in refined if vec is not None])
+        max_gap = float(search._gap_rows(unit, criticality._sinc_rows(unit).grad).max()) if unit.size else 0.0
         with counting(search, criticality) as counts:
             points = search.scan(config)
         labels = ",".join(
@@ -114,7 +122,7 @@ def main():
         trials = counts["residual_rows"] - counts["newton_rows"]
         print(
             f"n={dimension} seeds={seed_count} rng_seed={rng_seed} "
-            f"sha256={digest.hexdigest()} lost={lost} labels={labels} "
+            f"sha256={digest.hexdigest()} lost={lost} max_gap={max_gap:.2e} labels={labels} "
             f"sweeps={sweeps} trials={trials} corner_calls={counts['corner']} seconds={elapsed:.2f}",
             flush=True,
         )

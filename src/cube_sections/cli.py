@@ -28,7 +28,7 @@ from .casework import (
     solve_n4_system_triple,
     solve_n4_system_unequal,
 )
-from .criticality import criticality_residuals
+from .criticality import DEFAULT_CRITICALITY_TOL, criticality_residuals
 from .density import cdf_at, density_at, density_closed_form
 from .oracles import monte_carlo_section, sinc_product_quadrature
 from .search import ScanConfig, classify_critical_point, scan
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="criticality residuals for a direction")
     _add_direction_args(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_CRITICALITY_TOL)
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
     p.set_defaults(func=cmd_check)
 

@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import _check_weight_count, _corner_shifts, density_at
-from .sections import _all_facet_terms, _cone_over
+from .sections import _all_facet_terms
 from .weights import (
     RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
@@ -394,10 +394,7 @@ def cone_balance(a) -> ConeBalance:
     if np.any(1.0 - u**2 == 0.0):
         raise InvalidInputError("cone balance undefined at coordinate directions")
     ratios = np.array(
-        [
-            _cone_over(u, k, slice_) / (1.0 - u[k] ** 2)
-            for k, (slice_, _) in enumerate(_all_facet_terms(u))
-        ]
+        [cone / (1.0 - u[k] ** 2) for k, (_, cone, _) in enumerate(_all_facet_terms(u))]
     )
     mu_hat = float(np.mean(ratios))
     spread = float((np.max(ratios) - np.min(ratios)) / mu_hat)

@@ -109,6 +109,8 @@ def sinc_product_quadrature(a, *, cosine_shift: float = 0.0, truncation: float |
     ``I(a)``; a nonzero shift yields ``2 pi f_a(shift)`` for Fourier
     cross-checks.  ``T`` is ``truncation`` if given, and otherwise where
     the envelope bound puts the tail below 1e-10, clamped to [20, 4000].
+    At or past the end of the support, ``|cosine_shift| >= sum |a_i|``,
+    the density is 0 and so is the result, with no quadrature.
 
     Raises
     ------
@@ -124,10 +126,13 @@ def sinc_product_quadrature(a, *, cosine_shift: float = 0.0, truncation: float |
         raise InvalidInputError(
             "sinc-product quadrature needs at least two nonzero weights"
         )
+    total = float(np.sum(w))
+    if abs(cosine_shift) >= total:
+        return 0.0
     m = w.size
     T = _truncation(w, truncation)
 
-    panel = math.pi / (float(np.sum(w)) + abs(cosine_shift))
+    panel = math.pi / (total + abs(cosine_shift))
     count = max(1, int(math.ceil(T / panel)))
     nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     chunks = []

@@ -23,11 +23,12 @@ whose coordinates collapse below a threshold, or whose line search stalls
 on noise-sized coordinates, leave the batch with those coordinates zeroed
 and are refined again on the reduced dimension, in one batch per live
 count, so the recursion batches again at every level.  A seed that
-arrives with zero coordinates recurses on its own.  Every refined row of
-a level is snapped and certified in one batch: certification reads the
-balance residuals and the stationarity gap of the whole batch off one
-corner table per live count, with the verdicts, degenerate ones included,
-of :func:`cube_sections.criticality.criticality_residuals`.
+arrives with zero coordinates recurses on its own; every other seed goes
+through Newton.  Every refined row of a level is snapped and certified in
+one batch: certification reads the balance residuals and the stationarity
+gap of the whole batch off one corner table per live count, with the
+verdicts, degenerate ones included, of
+:func:`cube_sections.criticality.criticality_residuals`.
 """
 
 from __future__ import annotations
@@ -173,9 +174,9 @@ def _snap_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit(seed) -> np.ndarray | None:
-    """``|seed| / ||seed||``, or ``None`` for the zero vector, at any scale of ``seed``."""
-    a = np.abs(_binade_scaled(as_weight_vector(seed, allow_zero=True))[0])
+def _unit(a: np.ndarray) -> np.ndarray | None:
+    """``|a| / ||a||`` of a finite ``a`` of order 1, or ``None`` for the zero vector."""
+    a = np.abs(a)
     norm = float(np.linalg.norm(a))
     return None if norm == 0.0 else a / norm
 
@@ -193,21 +194,22 @@ def refine_critical(seed) -> np.ndarray | None:
     returned vector is unit, nonnegative, and snapped exactly onto a
     diagonal when doing so does not worsen the stationarity gap.
 
-    The seed runs as a batch of one through the batched refinement that
-    :func:`scan` runs all its seeds through, retries on reduced dimensions
-    included, and its result is bitwise the same either way.
+    The seed is validated and scaled to its binade here and runs as a
+    batch of one through the batched refinement that :func:`scan` runs all
+    its seeds through, retries on reduced dimensions included, and its
+    result is bitwise the same either way.
     """
-    return _refine_seeds([seed])[0]
+    return _refine_seeds([_binade_scaled(as_weight_vector(seed, allow_zero=True))[0]])[0]
 
 
 def _refine_seeds(seeds) -> list[np.ndarray | None]:
     """:func:`refine_critical` of every seed, with one batch for all.
 
-    Seeds must share one dimension.  A seed with a coordinate at or below
-    1e-7 recurses on its own through the module-global
-    :func:`refine_critical` on its live coordinates.  Of the other seeds,
-    those certified at the start are only snapped, and the rest run
-    through one :func:`_newton_rows` batch.  Its ``"tiny"`` exits and its
+    Seeds share one dimension and are finite and of order 1.  A seed with
+    a unit coordinate at or below 1e-7 recurses on its own through the
+    module-global :func:`refine_critical` on its live coordinates.  The
+    others run through one :func:`_newton_rows` batch, which a converged
+    row leaves unchanged.  Its ``"tiny"`` exits and its
     ``"stalled"`` exits with their coordinates at or below 1e-3 zeroed are
     normalized, and their coordinates above 1e-7 are refined again, with
     one :func:`_refine_seeds` call per live count.  The recursion results,
@@ -234,14 +236,8 @@ def _refine_seeds(seeds) -> list[np.ndarray | None]:
             finish.append((i, out))
 
     if rows:
-        a = np.array(starts)
-        certified = _certified_rows(a)
-        for i, out in zip(np.flatnonzero(certified), _snap_rows(a[certified])):
-            results[rows[i]] = out
-        todo = np.flatnonzero(~certified)
         retry: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        exits = _newton_rows(a[todo]) if todo.size else []
-        for i, (exit_, x) in zip(todo, exits):
+        for i, (exit_, x) in enumerate(_newton_rows(np.array(starts))):
             if exit_ == "converged":
                 finish.append((rows[i], _unit(x)))
                 continue

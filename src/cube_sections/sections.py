@@ -202,24 +202,26 @@ def facet_section_volume(a, k: int) -> float:
     return _facet_terms(u, _facet_index(k, u.size))[0]
 
 
-def _facet_terms(u: np.ndarray, k: int, marginal=None) -> tuple[float, float]:
-    """Facet slice of unit ``u`` at ``x_k = 1``, and the slab spread.
+def _facet_terms(u: np.ndarray, k: int, marginal=None) -> tuple[float, float, float]:
+    """Facet slice of unit ``u`` at ``x_k = 1``, the cone over it, and the slab spread.
 
     The spread is ``F(|u_k|) - F(-|u_k|)`` for the CDF ``F`` of the weights
-    without coordinate ``k``; one kernel call gives both, unless their
+    without coordinate ``k``; one kernel call gives all three, unless their
     density and spread come as ``marginal``.  ``k`` is in ``[0, n)``.
     """
     rest = np.delete(u, k)
     if not np.any(rest):
-        # no weight left: an empty slice, and the point mass at 0
-        return 0.0, 1.0
+        # no weight left: an empty slice and cone, and the point mass at 0
+        return 0.0, 0.0, 1.0
     # a single weight is a box, whose density the kernel takes at its
     # support endpoint as the limit from inside
     density, spread = marginal or _density_and_spread(_nonzero_weights(rest), abs(float(u[k])))
-    return 2.0**rest.size * float(np.linalg.norm(rest)) * density, spread
+    norm = float(np.linalg.norm(rest))
+    slice_ = 2.0**rest.size * norm * density
+    return slice_, slice_ / ((u.size - 1) * norm), spread
 
 
-def _all_facet_terms(u: np.ndarray) -> list[tuple[float, float]]:
+def _all_facet_terms(u: np.ndarray) -> list[tuple[float, float, float]]:
     """:func:`_facet_terms` of unit ``u`` for every ``k``.
 
     Above ``EXACT_CORNER_WEIGHTS`` weights in the rest, one
@@ -248,16 +250,7 @@ def cone_volume(a, k: int) -> float:
     u = as_unit_vector(a)
     if u.size < 2:
         raise InvalidInputError("cone volumes need dimension at least 2")
-    k = _facet_index(k, u.size)
-    return _cone_over(u, k, _facet_terms(u, k)[0])
-
-
-def _cone_over(u: np.ndarray, k: int, base: float) -> float:
-    """Cone volume over the facet slice ``base`` of unit ``u``."""
-    rest = np.delete(u, k)
-    if not np.any(rest):
-        return 0.0
-    return base / ((u.size - 1) * float(np.linalg.norm(rest)))
+    return _facet_terms(u, _facet_index(k, u.size))[1]
 
 
 def slab_identity_check(a, k: int) -> tuple[float, float]:
@@ -275,7 +268,7 @@ def slab_identity_check(a, k: int) -> tuple[float, float]:
     k = _facet_index(k, u.size)
     if u[k] == 0.0:
         raise InvalidInputError("slab identity needs a_k != 0")
-    return _section_at(u, 0.0)[0], _slab_rhs(u, k, _facet_terms(u, k)[1])
+    return _section_at(u, 0.0)[0], _slab_rhs(u, k, _facet_terms(u, k)[2])
 
 
 def _slab_rhs(u: np.ndarray, k: int, spread: float) -> float:
@@ -337,13 +330,10 @@ def section_report(a) -> SectionReport:
     n = u.size
     vol = _section_at(u, 0.0)[0]
     terms = _all_facet_terms(u)
-    facets = np.array([slice_ for slice_, _ in terms])
-    if n >= 2:
-        cones = np.array([_cone_over(u, k, facets[k]) for k in range(n)])
-    else:
-        cones = np.zeros(n)
+    facets = np.array([slice_ for slice_, _, _ in terms])
+    cones = np.array([cone for _, cone, _ in terms])
     slab_errors = [
-        abs(vol - _slab_rhs(u, k, spread)) for k, (_, spread) in enumerate(terms) if u[k] != 0.0
+        abs(vol - _slab_rhs(u, k, spread)) for k, (_, _, spread) in enumerate(terms) if u[k] != 0.0
     ]
     return SectionReport(
         direction=u,

@@ -55,6 +55,14 @@ def test_pairwise_balance_detects_noncritical():
     assert abs(pairwise_balance(a, 0, 1).residual) >= 1e-3
 
 
+def test_pairwise_balance_with_an_empty_rest():
+    # the rest of (0.6, 0.8, 0) is the zero weight, a point mass at 0, so
+    # F(1.4) - F(-0.2) = 1 on the left and F(1.4) - F(0.2) = 0 on the right
+    balance = pairwise_balance([0.6, 0.8, 0.0], 0, 1)
+    assert balance.lhs == pytest.approx(0.45, rel=1e-14)
+    assert balance.rhs == 0.0
+
+
 def test_pairwise_balance_validation():
     with pytest.raises(InvalidInputError):
         pairwise_balance(unit([1.0, 1.0]), 0, 1)

@@ -189,6 +189,11 @@ def test_diagonal_table_rejects_small_max(capsys):
     assert code == 2
 
 
+def test_fig1_grid_rejects_resolution_below_2(capsys):
+    code, _ = run(capsys, "fig1-grid", "--resolution", "1")
+    assert code == 2
+
+
 def test_fig1_grid(capsys):
     code, out = run(capsys, "fig1-grid", "--resolution", "5")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -91,13 +92,22 @@ def test_quadrature_memory_does_not_grow_with_the_shift():
     sinc_product_quadrature((0.6, 0.8))  # first-call imports
     tracemalloc.start()
     try:
-        # 2 million nodes, far past the support: 168 MB when held at once
-        value = sinc_product_quadrature((0.6, 0.8), cosine_shift=100.0)
+        # 2.4 million nodes inside the support: 200 MB when held at once
+        value = sinc_product_quadrature((30.0, 40.0), cosine_shift=50.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(value) <= 1e-12
+    assert value / (2.0 * math.pi) == pytest.approx(density_at((30.0, 40.0), 50.0), abs=1e-12)
     assert peak < 24e6
+
+
+def test_quadrature_past_the_support_is_zero():
+    # the density is exactly 0 there; the quadrature took 1.85 s to return
+    # rounding noise, -1.45e-13 at this shift
+    start = time.perf_counter()
+    assert sinc_product_quadrature((0.6, 0.8), cosine_shift=1000.0) == 0.0
+    assert time.perf_counter() - start < 0.1
+    assert sinc_product_quadrature((0.6, 0.8), cosine_shift=-1.4) == 0.0
 
 
 def test_quadrature_rejects_single_weight():

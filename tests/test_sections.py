@@ -394,6 +394,10 @@ def test_facet_functions_one_dimensional():
     assert facet_section_volume((2.0,), 0) == 0.0
     assert facet_section_volume((2.0,), -1) == 0.0
     assert slab_identity_check((2.0,), 0) == (1.0, 1.0)
+    # the report's section is the point 0, over an empty slice and cone
+    report = section_report([3.0])
+    assert report.volume == 1.0
+    np.testing.assert_array_equal(report.cone_volumes, [0.0])
 
 
 def test_facet_functions_coordinate_direction():
@@ -413,7 +417,7 @@ def test_dominant_weight_facet_is_empty():
     report = section_report(u)
     assert report.facet_section_volumes[0] == 0.0
     assert report.cone_volumes[0] == 0.0
-    assert sections._all_facet_terms(u)[0] == sections._facet_terms(u, 0) == (0.0, 1.0)
+    assert sections._all_facet_terms(u)[0] == sections._facet_terms(u, 0) == (0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -448,7 +452,7 @@ def test_report_facets_match_the_exact_corner_sums(n):
     rng = np.random.default_rng(n)
     u = as_unit_vector(rng.uniform(0.25, 1.0, n) * rng.choice([-1.0, 1.0], n))
     report = section_report(u)
-    spreads = [spread for _, spread in sections._all_facet_terms(u)]
+    spreads = [spread for _, _, spread in sections._all_facet_terms(u)]
     for k in range(n):
         slice_, spread = _exact_facet(u, k)
         assert report.facet_section_volumes[k] == pytest.approx(slice_, rel=1e-12)
@@ -482,9 +486,9 @@ def test_report_facets_match_one_facet_at_a_time(a):
     report = section_report(a)
     shared = sections._all_facet_terms(u)
     for k in range(u.size):
-        slice_, spread = sections._facet_terms(u, k)
+        slice_, _, spread = sections._facet_terms(u, k)
         assert report.facet_section_volumes[k] == pytest.approx(slice_, rel=1e-12, abs=0.0)
-        assert shared[k][1] == pytest.approx(spread, rel=1e-12, abs=0.0)
+        assert shared[k][2] == pytest.approx(spread, rel=1e-12, abs=0.0)
 
 
 def test_report_serializes():
