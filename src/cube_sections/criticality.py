@@ -324,42 +324,44 @@ class CriticalityReport:
         }
 
 
-def _degenerate_verdict(u: np.ndarray) -> str | None:
-    nz = np.abs(u[u != 0.0])
-    if nz.size == 1:
-        return "degenerate-min"
-    if nz.size == 2 and abs(nz[0] - nz[1]) <= 1e-12:
-        return "degenerate-max"
-    return None
+def _degenerate_verdict(u: np.ndarray) -> np.ndarray:
+    """Kink verdict of a unit vector or of each row, on the coordinates the kernel keeps.
+
+    One is ``"degenerate-min"``, two within 1e-12 ``"degenerate-max"``, else ``""``.
+    """
+    mag = np.abs(u)
+    peak = mag.max(axis=-1, keepdims=True)
+    live = mag > RELATIVE_WEIGHT_FLOOR * peak
+    kept = live.sum(axis=-1)
+    pair = (kept == 2) & (peak[..., 0] - np.where(live, mag, np.inf).min(axis=-1) <= 1e-12)
+    return np.select([kept == 1, pair], ["degenerate-min", "degenerate-max"], "")
 
 
 def criticality_residuals(a, tol: float = DEFAULT_CRITICALITY_TOL) -> CriticalityReport:
     """Evaluate the per-coordinate balance residuals at ``a``.
 
-    The direction is unit-normalized first.  Coordinates with ``a_k = 0``
-    contribute an exactly-zero residual (the analysis reduces to the lower
-    dimension, which is noted in the report).
+    The direction is unit-normalized first.  A coordinate at or below the
+    relative weight floor has an exactly-zero residual (the analysis
+    reduces to the lower dimension, which the report notes).
     """
     u = as_unit_vector(a)
     n = u.size
     table = _sinc_rows(u[None])
     sigma = float(table.value[0])
     mu = None if n < 2 else 2.0 ** (n - 2) * sigma / ((n - 1) * math.pi)
-    note = None
-    if np.any(u == 0.0):
-        kept = int(np.count_nonzero(u))
-        note = f"zero coordinates dropped: analyzed as a {kept}-dimensional direction"
+    kept = u[table.live[0]]
+    dropped = f"zero coordinates dropped: analyzed as a {kept.size}-dimensional direction"
 
     common = dict(
         direction=u,
         sigma=sigma,
         lagrange_multiplier=-sigma,
         mu=mu,
-        interior=_interior(u),
-        reduction_note=note,
+        interior=_interior(kept),
+        reduction_note=dropped if kept.size < n else None,
     )
-    degenerate = _degenerate_verdict(u)
-    if degenerate is not None:
+    degenerate = str(_degenerate_verdict(u))
+    if degenerate:
         return CriticalityReport(
             residuals=None, max_residual=None, verdict=degenerate, **common
         )

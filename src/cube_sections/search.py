@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criticality import _balance_residuals, _corner_rows, _degenerate_verdict, _sinc_rows
+from .density import MAX_CLOSED_FORM_WEIGHTS
 from .sections import _central, _central_rows, diagonal_direction
 from .weights import InvalidInputError, _binade_scaled, _unit_vector, as_unit_vector, as_weight_vector
 
@@ -82,8 +83,8 @@ class ScanConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise InvalidInputError("scan needs dimension at least 2")
+        if not 2 <= self.dimension <= MAX_CLOSED_FORM_WEIGHTS:
+            raise InvalidInputError(f"scan needs dimension from 2 to {MAX_CLOSED_FORM_WEIGHTS}")
         if self.seed_count < 0:
             raise InvalidInputError("seed_count must be nonnegative")
         if self.rng_seed < 0:
@@ -127,9 +128,9 @@ def _gap_rows(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
     The gap is the max norm of the projected gradient ``g - (a . g) a``;
     it is linear in the distance to a critical direction, unlike the
     balance residuals, which degenerate quadratically near the axes.
+    ``np.vecdot`` takes each ``a . g`` as ``row @ g``, so it is batch-free.
     """
-    # one dot product per row, so a row's gap does not depend on its batch
-    lam = np.array([row @ g for row, g in zip(a, grad)])
+    lam = np.vecdot(a, grad)
     return np.abs(grad - lam[:, None] * a).max(axis=1)
 
 
@@ -142,13 +143,10 @@ def _certified_rows(a: np.ndarray) -> np.ndarray:
     come from one :func:`~cube_sections.criticality._sinc_rows` table of
     the unit rows, which makes one kernel call per live count.
     """
-    u = np.empty_like(a)
-    for i, row in enumerate(a):
-        u[i] = _unit_vector(row)
+    u = _unit_vector(a)
     table = _sinc_rows(u)
     balanced = np.abs(_balance_residuals(table, u)).max(axis=1) <= _CERTIFY_TOL
-    degenerate = np.array([_degenerate_verdict(row) is not None for row in u], dtype=bool)
-    return (balanced | degenerate) & (_gap_rows(u, table.grad) <= _CERTIFY_TOL)
+    return (balanced | (_degenerate_verdict(u) != "")) & (_gap_rows(u, table.grad) <= _CERTIFY_TOL)
 
 
 def _snap_rows(a: np.ndarray) -> np.ndarray:
@@ -326,9 +324,11 @@ def _newton_rows(a: np.ndarray) -> list[tuple[str, np.ndarray | None]]:
     # a start may overflow, and its row then leaves singular or stalled; a
     # trial may overflow, and it is then rejected
     with np.errstate(all="ignore"):
-        # x = [a, lambda]; the multiplier starts at a . grad I
-        x = np.concatenate([a, (a * _corner_rows(a).grad).cumsum(axis=1)[:, -1:]], axis=1)
+        # x = [a, lambda]; the multiplier a . grad I is read off the residuals at lambda = 0
+        x = np.concatenate([a, np.zeros((count, 1))], axis=1)
         G = _residual_rows(x)
+        x[:, n:] = (a * G[:, :n]).cumsum(axis=1)[:, -1:]
+        G[:, :n] -= x[:, n:] * a
         state = (
             np.arange(count),  # input row
             x,
@@ -434,8 +434,8 @@ def classify_critical_point(u) -> str:
     eigenvector fan.
     """
     u = as_unit_vector(u)
-    degenerate = _degenerate_verdict(u)
-    if degenerate is not None:
+    degenerate = str(_degenerate_verdict(u))
+    if degenerate:
         return "global-min" if degenerate == "degenerate-min" else "global-max"
     H, basis = _tangent_hessian(u)
     eigs, vecs = np.linalg.eigh(H)
@@ -490,13 +490,10 @@ def _scan_seeds(config: ScanConfig) -> list[np.ndarray]:
     """The ``n`` diagonal directions, then ``seed_count`` folded normal ones."""
     n = config.dimension
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
-    seeds = [diagonal_direction(k, n) for k in range(1, n + 1)]
-    for _ in range(config.seed_count):
-        vec = np.abs(rng.standard_normal(n))
-        while float(np.linalg.norm(vec)) < 1e-9:
-            vec = np.abs(rng.standard_normal(n))
-        seeds.append(vec / float(np.linalg.norm(vec)))
-    return seeds
+    # one draw is the stream of seed_count draws of n, row by row
+    folded = np.abs(rng.standard_normal((config.seed_count, n)))
+    units = folded / np.sqrt(np.vecdot(folded, folded))[:, None]
+    return [diagonal_direction(k, n) for k in range(1, n + 1)] + list(units)
 
 
 def scan(config: ScanConfig) -> list[CriticalPoint]:

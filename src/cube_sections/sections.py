@@ -51,6 +51,7 @@ from .weights import (
     _binade_scaled,
     _nonzero_weights,
     _offset,
+    _unit_vector,
     as_unit_vector,
     as_weight_vector,
 )
@@ -131,7 +132,8 @@ def central_volumes(directions) -> np.ndarray:
     ``MAX_CLOSED_FORM_WEIGHTS`` weights above the relative floor is
     rejected by the density kernel.
     """
-    rows = np.asarray(directions, dtype=float)
+    # row-major, so that each row's norm is the dot product it gets alone
+    rows = np.ascontiguousarray(directions, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
         raise InvalidInputError("directions must be a nonempty 2-d array, one per row")
     if not np.all(np.isfinite(rows)):
@@ -144,19 +146,15 @@ def central_volumes(directions) -> np.ndarray:
 def _central_rows(rows: np.ndarray) -> list[float]:
     """Central volumes of the nonzero finite rows of ``rows``.
 
-    Each row is scaled as :func:`~cube_sections.weights.as_unit_vector`
-    scales it, the peak divided out for the whole batch at once, then
-    each row by its own norm: a vectorized norm can differ by an ulp.
-    The rows are grouped by their number ``m`` of live weights: a single
-    weight is a box, and any other group takes one density call.  Every
-    volume is bitwise the ``2^n |u| density_at(w, 0)`` of its row's live
-    weights ``w``.
+    The whole batch is scaled by :func:`~cube_sections.weights._unit_vector`
+    and its unit rows' norms taken with ``np.vecdot``, each row bitwise as
+    it would be alone.  The rows are grouped by their number ``m`` of live
+    weights: a single weight is a box, and any other group takes one
+    density call.  Every volume is bitwise the ``2^n |u| density_at(w, 0)``
+    of its row's live weights ``w``.
     """
-    units = rows / np.max(np.abs(rows), axis=1, keepdims=True)
-    norms = np.empty(len(rows))
-    for i, u in enumerate(units):
-        u /= math.sqrt(u.dot(u))
-        norms[i] = math.sqrt(u.dot(u))
+    units = _unit_vector(rows)
+    norms = np.sqrt(np.vecdot(units, units))
     size = np.abs(units)
     live = size > RELATIVE_WEIGHT_FLOOR * size.max(axis=1, keepdims=True)
     counts = np.count_nonzero(live, axis=1)

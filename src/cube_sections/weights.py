@@ -72,10 +72,13 @@ def as_unit_vector(a) -> np.ndarray:
 
 
 def _unit_vector(arr: np.ndarray) -> np.ndarray:
-    """:func:`as_unit_vector` of a validated nonzero float array."""
+    """:func:`as_unit_vector` of a validated nonzero vector, or of each row of a batch.
+
+    A row of a row-major batch comes out bitwise as it does alone.
+    """
     # divide out the peak first so squaring cannot underflow to zero
-    arr = arr / np.max(np.abs(arr))
-    return arr / np.linalg.norm(arr)
+    arr = arr / np.max(np.abs(arr), axis=-1, keepdims=True)
+    return arr / np.sqrt(np.vecdot(arr, arr))[..., None]
 
 
 def _binade_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:

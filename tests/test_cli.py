@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,15 @@ def test_scan_pretty(capsys):
 def test_scan_rejects_dim_below_2(capsys):
     code, _ = run(capsys, "scan", "--dim", "1")
     assert code == 2
+
+
+def test_scan_rejects_dim_above_the_kernel_at_once(capsys):
+    # the kernel takes at most 20 weights; the config refuses 21 before
+    # refining anything
+    start = time.perf_counter()
+    code, _ = run(capsys, "scan", "--dim", "21", "--seeds", "1")
+    assert code == 2
+    assert time.perf_counter() - start < 0.5
 
 
 # -- tables ----------------------------------------------------------------------

@@ -262,6 +262,15 @@ def test_degenerate_verdicts():
     assert report.residuals is None
     assert report.max_residual is None
     assert "2-dimensional" in report.reduction_note
+    # a coordinate below the relative floor is one the kernel drops, so
+    # the report reads as at its exact-zero twin, sigma included
+    for dust, twin in (((1.0, 1.0, 1e-15), (1.0, 1.0, 0.0)), ((1.0, 1e-15), (1.0, 0.0))):
+        got, want = criticality_residuals(dust), criticality_residuals(twin)
+        assert got.verdict == want.verdict
+        assert got.interior == want.interior
+        assert got.reduction_note == want.reduction_note
+        assert got.residuals is None and got.max_residual is None
+        assert got.sigma == want.sigma
 
 
 def test_reduction_note_and_zero_residual():

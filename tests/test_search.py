@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cube_sections import search
 from cube_sections.criticality import criticality_residuals, grad_sinc_product_integral
+from cube_sections.density import MAX_CLOSED_FORM_WEIGHTS
 from cube_sections.search import (
     CriticalPoint,
     ScanConfig,
@@ -164,8 +165,9 @@ def _certification_rows(draw):
             row = diagonal_direction(k, n)[draw(st.permutations(range(n)))] + offset * np.array(noise)
         else:
             row = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+            # zeroed coordinates, or dust below the relative weight floor
             for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1)):
-                row[i] = 0.0
+                row[i] *= draw(st.sampled_from([0.0, 1e-16]))
         row = np.asarray(row, dtype=float)
         if np.max(np.abs(row)) > 1e-3:
             rows.append(row)
@@ -179,6 +181,16 @@ def _stationarity_gap(a):
     g = grad_sinc_product_integral(a)
     lam = float(a @ g)
     return float(np.max(np.abs(g - lam * a)))
+
+
+def test_gap_rows_take_each_row_dot_alone():
+    rng = np.random.default_rng(5)
+    for count, n in ((1, 2), (7, 3), (500, 8), (1000, 20)):
+        a = rng.standard_normal((count, n))
+        grad = rng.standard_normal((count, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (count, 1))
+        want = [np.abs(g - (row @ g) * row).max() for row, g in zip(a, grad)]
+        assert search._gap_rows(a, grad).tolist() == want
+        assert search._gap_rows(np.repeat(a, 2, axis=0)[::2], grad).tolist() == want
 
 
 def _certified(a):
@@ -456,6 +468,16 @@ def test_tangent_hessian_matches_finite_differences(seed):
     np.testing.assert_allclose(exact, reference, rtol=0.0, atol=1e-3)
 
 
+@pytest.mark.parametrize(
+    "dust, label",
+    [((1.0, 1.0, 1e-15), "global-max"), ((1.0, 1e-15), "global-min"), ((1e-16, 1.0, 1.0, 1.0), "saddle")],
+)
+def test_classify_follows_the_weight_floor(dust, label):
+    # a coordinate below the relative floor classifies as an exact zero
+    twin = np.where(np.abs(dust) < 1e-14, 0.0, dust)
+    assert classify_critical_point(dust) == classify_critical_point(twin) == label
+
+
 def test_classify_special_direction():
     assert classify_critical_point(SPECIAL) == "saddle"
 
@@ -496,8 +518,35 @@ def test_tangent_basis_matches_scipy_null_space(n):
 def test_scan_config_validation():
     with pytest.raises(InvalidInputError):
         ScanConfig(dimension=1)
+    # more coordinates than the closed-form kernel takes
+    with pytest.raises(InvalidInputError):
+        ScanConfig(dimension=MAX_CLOSED_FORM_WEIGHTS + 1)
+    ScanConfig(dimension=MAX_CLOSED_FORM_WEIGHTS, seed_count=1)
     with pytest.raises(InvalidInputError):
         ScanConfig(dimension=3, seed_count=-1)
+
+
+def _sequential_seeds(config):
+    """The scan seeds drawn one direction at a time, redrawing a norm below 1e-9."""
+    n = config.dimension
+    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
+    seeds = [diagonal_direction(k, n) for k in range(1, n + 1)]
+    for _ in range(config.seed_count):
+        vec = np.abs(rng.standard_normal(n))
+        while float(np.linalg.norm(vec)) < 1e-9:
+            vec = np.abs(rng.standard_normal(n))
+        seeds.append(vec / float(np.linalg.norm(vec)))
+    return seeds
+
+
+@pytest.mark.parametrize(
+    "config", [ScanConfig(2, 50, 0), ScanConfig(4, 2000, 1), ScanConfig(20, 30, 7)], ids=["n2", "n4", "n20"]
+)
+def test_scan_seeds_are_the_sequential_draws(config):
+    # one (seed_count, n) draw is the same stream, and each row's norm is
+    # the one np.linalg.norm gives the row alone
+    got, want = _scan_seeds(config), _sequential_seeds(config)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_scan_plane():

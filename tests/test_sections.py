@@ -246,7 +246,8 @@ def _public_central(row):
 @given(direction_rows())
 @example(np.array([[0.3, -0.7, 0.0, 1e-18, 0.5, 0.9, -0.2, 0.4, 0.8, 0.6, -0.1, 0.35]]))
 @example(np.array([[0.0, 0.0, 1e-20, -2.0], [1.0, 1.0, 1.0, 1.0]]))
-# rows whose volumes move by an ulp under vectorized (einsum) row norms
+# rows whose volumes move by an ulp under einsum row norms; the unit rows'
+# norms come from np.vecdot, which takes each row's dot as the row alone
 @example(np.array([[0.715, -0.933, 0.459], [0.189, -0.324, -0.217]]))
 # weights below the relative floor, which the exact kernel must not see
 @example(np.array([[0.5, 0.5, 2**-53, 2**-53]]))
@@ -255,6 +256,14 @@ def test_central_volumes_is_the_public_composition_bitwise(rows):
     # more than EXACT_CORNER_WEIGHTS live weights takes the float sum
     assert central_volumes(rows).tolist() == [_public_central(row) for row in rows]
     assert [central_volume(row) for row in rows] == central_volumes(rows).tolist()
+
+
+def test_central_volumes_of_a_column_major_batch():
+    # a row of a column-major array is strided, and a strided dot product
+    # rounds in another order than the contiguous one of a lone row
+    rows = np.random.default_rng(0).uniform(0.1, 1.0, (300, 8))
+    want = [central_volume(row) for row in rows]
+    assert central_volumes(np.asfortranarray(rows)).tolist() == want
 
 
 @pytest.mark.parametrize(
