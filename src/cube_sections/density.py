@@ -416,10 +416,13 @@ def _compensated_sum(terms: np.ndarray) -> float:
 
 
 def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
-    """``sum_eps (-1)^{#pos} (r - s_eps)_+^p / (2^m p! prod w)`` of each row of ``w``, ``p >= 1``.
+    """``sum_eps (-1)^{#pos} (r - s_eps)_+^p / (2^m p! prod w)`` of each row of ``w``, ``p >= 0``.
 
-    ``w`` is a ``(B, m)`` batch of live weights.  Up to
-    ``EXACT_CORNER_WEIGHTS`` weights the sum is exact and rounded once.
+    ``w`` is a ``(B, m)`` batch of live weights; ``p = 0`` only for a central
+    row with one.  A density (``p = m - 1``) whose largest weight covers
+    ``|r|`` and all the others is on that weight's plateau: ``0.5 / w_max``,
+    correctly rounded.  Up to ``EXACT_CORNER_WEIGHTS`` weights the other
+    rows' sums are exact and rounded once.
     Beyond that each row's float terms are summed with
     :func:`_compensated_sum`, which leaves no summation error to speak of;
     the terms themselves carry rounding errors of order ``u |term|``, so
@@ -430,42 +433,52 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
     float range becomes an infinity, as in the exact branch.
     """
     m = w.shape[1]
-    if m <= EXACT_CORNER_WEIGHTS and math.isfinite(r):
+    _check_weight_count(m)
+    out, rest = np.empty(len(w)), slice(None)
+    if p == m - 1:
+        peak = w.max(axis=1)
+        # the float sum c of the others and |r| errs by less than (m + 1) u (peak + c),
+        # u = 2^-53, so past a tie it reads below peak by less than 2 (m + 1) u peak;
+        # 1 + 4 m u, less the product's rounding, outgrows that (c is exact at m = 1)
+        with np.errstate(over="ignore"):  # an infinite sum takes no row; a subnormal peak gives inf
+            rest = ~((w.sum(axis=1) - peak + abs(r)) * (1.0 + m * 2.0**-51) <= peak)
+            out = 0.5 / peak
+        w = w[rest]
+    sums = []
+    if len(w) and m <= EXACT_CORNER_WEIGHTS and math.isfinite(r):
         (x,), bits, rows = _exact_tables(w, [r])
         den, shift = 2**m * math.factorial(p), bits * (m - p)
         # the sum carries 2^(-bits p) and the product 2^(-bits m)
-        out = []
         for table, prod in rows:
             try:
-                out.append((_half_sum(table, x, p) << shift) / (den * prod))
+                sums.append((_half_sum(table, x, p) << shift) / (den * prod))
             except OverflowError:
                 # a density beyond the float range (a CDF is at most 1)
-                out.append(math.inf)
-        return out
-    _check_weight_count(m)
-    out = []
-    with np.errstate(over="ignore"):  # only a rescaled row overflows, to an infinity
-        for row in w:
-            e, x = math.frexp(float(row.max()))[1], r
-            if e in _FLOAT_BINADES:
-                e = 0
-            else:
-                row, x = np.ldexp(row, -e), float(np.ldexp(r, -e))
-            total = float(np.sum(row))
-            if not -total < x < total:
-                # off the support: 0, or 1 right of it for the CDF (p = m)
-                out.append(float(p == m and x > 0.0))
-                continue
-            shifts, parity = _corner_shifts(row)
-            np.subtract(x, shifts, out=shifts)
-            terms = _positive_powers(shifts, parity, p)
-            # free the table before the sum, which would hold it beside the fold's
-            # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
-            del shifts, parity
-            scale = 1.0 / (2.0**m * float(np.prod(row)) * math.factorial(p))
-            value = scale * _compensated_sum(terms)
-            out.append(float(np.ldexp(value, e * (p - m))) if e else value)
-    return out
+                sums.append(math.inf)
+    else:
+        with np.errstate(over="ignore"):  # only a rescaled row overflows, to an infinity
+            for row in w:
+                e, x = math.frexp(float(row.max()))[1], r
+                if e in _FLOAT_BINADES:
+                    e = 0
+                else:
+                    row, x = np.ldexp(row, -e), float(np.ldexp(r, -e))
+                total = float(np.sum(row))
+                if not -total < x < total:
+                    # off the support: 0, or 1 right of it for the CDF (p = m)
+                    sums.append(float(p == m and x > 0.0))
+                    continue
+                shifts, parity = _corner_shifts(row)
+                np.subtract(x, shifts, out=shifts)
+                terms = _positive_powers(shifts, parity, p)
+                # free the table before the sum, which would hold it beside the fold's
+                # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
+                del shifts, parity
+                scale = 1.0 / (2.0**m * float(np.prod(row)) * math.factorial(p))
+                value = scale * _compensated_sum(terms)
+                sums.append(float(np.ldexp(value, e * (p - m))) if e else value)
+    out[rest] = sums
+    return out.tolist()
 
 
 def _positive_powers(d: np.ndarray, parity: np.ndarray, p: int) -> np.ndarray:

@@ -172,13 +172,6 @@ def _snap_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit(a: np.ndarray) -> np.ndarray | None:
-    """``|a| / ||a||`` of a finite ``a`` of order 1, or ``None`` for the zero vector."""
-    a = np.abs(a)
-    norm = float(np.linalg.norm(a))
-    return None if norm == 0.0 else a / norm
-
-
 def refine_critical(seed) -> np.ndarray | None:
     """Polish one seed to a certified critical direction, or ``None``.
 
@@ -203,25 +196,28 @@ def refine_critical(seed) -> np.ndarray | None:
 def _refine_seeds(seeds) -> list[np.ndarray | None]:
     """:func:`refine_critical` of every seed, with one batch for all.
 
-    Seeds share one dimension and are finite and of order 1.  A seed with
-    a unit coordinate at or below 1e-7 recurses on its own through the
+    Seeds share one dimension and are finite and of order 1; one batch
+    scales them to ``|a| / ||a||``, losing a zero seed.  A seed with a unit
+    coordinate at or below 1e-7 recurses on its own through the
     module-global :func:`refine_critical` on its live coordinates.  The
     others run through one :func:`_newton_rows` batch, which a converged
-    row leaves unchanged.  Its ``"tiny"`` exits and its
-    ``"stalled"`` exits with their coordinates at or below 1e-3 zeroed are
-    normalized, and their coordinates above 1e-7 are refined again, with
-    one :func:`_refine_seeds` call per live count.  The recursion results,
-    the converged rows and the retries share one finish: one snap, then
-    one certification.
+    row leaves unchanged.  Its converged, ``"tiny"`` and ``"stalled"``
+    exits (these with coordinates at or below 1e-3 zeroed) are scaled in
+    one batch too; the last two are refined again on their coordinates
+    above 1e-7, one :func:`_refine_seeds` call per live count.  The
+    recursion results, converged rows and retries share one snap and one
+    certification.
     """
     results: list[np.ndarray | None] = [None] * len(seeds)
     finish: list[tuple[int, np.ndarray]] = []
     rows: list[int] = []
     starts: list[np.ndarray] = []
-    for i, seed in enumerate(seeds):
-        a = _unit(seed)
-        if a is None:
-            continue
+    seeds = np.array(seeds)
+    norms = np.sqrt(np.vecdot(seeds, seeds))
+    with np.errstate(invalid="ignore"):  # a zero seed has no unit vector and is lost
+        units = np.abs(seeds) / norms[:, None]
+    for i in np.flatnonzero(norms).tolist():
+        a = units[i]
         live = a > _ZERO_COORD_TOL
         if np.all(live):
             rows.append(i)
@@ -234,22 +230,26 @@ def _refine_seeds(seeds) -> list[np.ndarray | None]:
             finish.append((i, out))
 
     if rows:
-        retry: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        ends: list[tuple[int, bool, np.ndarray]] = []  # (seed, converged, iterate)
         for i, (exit_, x) in enumerate(_newton_rows(np.array(starts))):
-            if exit_ == "converged":
-                finish.append((rows[i], _unit(x)))
-                continue
             if exit_ == "stalled":
                 # zero the noise-dominated coordinates of the stalled iterate
                 small = np.abs(x) <= _STALL_COLLAPSE_TOL
                 if not np.any(small) or np.all(small):
                     continue
                 x = np.where(small, 0.0, x)
-            elif exit_ != "tiny":
+            elif exit_ not in ("converged", "tiny"):
                 continue
-            u = _unit(x)
+            ends.append((rows[i], exit_ == "converged", x))
+        ended = np.array([x for _, _, x in ends]).reshape(-1, seeds.shape[1])
+        units = np.abs(ended) / np.sqrt(np.vecdot(ended, ended))[:, None]
+        retry: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        for (i, converged, _), u in zip(ends, units):
+            if converged:
+                finish.append((i, u))
+                continue
             live = u > _ZERO_COORD_TOL
-            retry.setdefault(int(np.count_nonzero(live)), []).append((rows[i], u, live))
+            retry.setdefault(int(np.count_nonzero(live)), []).append((i, u, live))
 
         for group in retry.values():
             inner = _refine_seeds([u[live] for _, u, live in group])

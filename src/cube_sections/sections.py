@@ -17,11 +17,11 @@ take the validated array (``_section_at`` any nonzero vector, the facet
 helpers the unit vector and an index in range) and check nothing again.
 Central volumes have one row kernel, ``_central_rows``: ``central_volumes``
 hands it a whole batch and ``central_volume`` a batch of one.  It scales
-each row to a unit vector, groups the rows by their number of live weights
-and reads each group's densities at 0 from one density call,
-``_truncated_power_sums``, which is exact up to ``EXACT_CORNER_WEIGHTS``
-weights and bitwise ``density_at`` of each row at any count, with no
-second check of its weights.  Off-centre sections and a report's volume
+each row to a unit vector and reads the densities at 0 of each live-weight
+count from one call of ``_truncated_power_sums``, bitwise ``density_at``
+of each row, with no second check of its weights: one division where the
+largest weight covers the others (a lone weight too), and exact up to
+``EXACT_CORNER_WEIGHTS`` weights elsewhere.  Off-centre sections and a report's volume
 come from ``density_at`` on the reduced weights, which keeps its own check.
 Everything per facet, the slice, the cone over it and the slab spread of
 the slab identity, comes from the density and spread of the weights
@@ -148,10 +148,10 @@ def _central_rows(rows: np.ndarray) -> list[float]:
 
     The whole batch is scaled by :func:`~cube_sections.weights._unit_vector`
     and its unit rows' norms taken with ``np.vecdot``, each row bitwise as
-    it would be alone.  The rows are grouped by their number ``m`` of live
-    weights: a single weight is a box, and any other group takes one
-    density call.  Every volume is bitwise the ``2^n |u| density_at(w, 0)``
-    of its row's live weights ``w``.
+    it would be alone.  Each group of rows with ``m`` live weights takes one
+    density call, ``m = 1`` included: a lone weight is on its plateau, which
+    gives ``2^(n-1)`` bitwise, as sub-floor coordinates square below an ulp.
+    Every volume is bitwise ``2^n |u| density_at(w, 0)`` of its live ``w``.
     """
     units = _unit_vector(rows)
     norms = np.sqrt(np.vecdot(units, units))
@@ -159,9 +159,8 @@ def _central_rows(rows: np.ndarray) -> list[float]:
     live = size > RELATIVE_WEIGHT_FLOOR * size.max(axis=1, keepdims=True)
     counts = np.count_nonzero(live, axis=1)
     n = rows.shape[1]
-    # a row with one live weight is a box
-    volumes = np.full(len(rows), 2.0 ** (n - 1))
-    for m in set(counts.tolist()) - {1}:
+    volumes = np.empty(len(rows))
+    for m in set(counts.tolist()):
         group = np.flatnonzero(counts == m)
         w = size[group][live[group]].reshape(-1, m)
         volumes[group] = 2.0**n * norms[group] * _truncated_power_sums(w, 0.0, m - 1)

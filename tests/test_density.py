@@ -2,6 +2,7 @@ import contextlib
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -229,6 +230,66 @@ def test_density_at_tiny_weight_direction():
 
 
 @st.composite
+def dominant_rows(draw):
+    """2..20 weights whose largest is the sum of the others, or an ulp or more off it, and a point.
+
+    The peak ties the float sum of the others, or is a few ulps to either
+    side of it, or up to three times it; the point is 0, the plateau edge
+    ``peak - others`` or a float next to it, or inside the plateau.
+    """
+    m = draw(st.integers(2, MAX_CLOSED_FORM_WEIGHTS))
+    others = draw(
+        st.lists(
+            st.one_of(st.floats(1e-6, 1.0), st.integers(1, 4).map(float)),
+            min_size=m - 1,
+            max_size=m - 1,
+        )
+    )
+    peak = math.fsum(others)
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        peak = math.nextafter(peak, math.copysign(math.inf, steps))
+    peak *= draw(st.sampled_from((1.0, 1.0, 1.0, 1.5, 3.0)))
+    edge = float(Fraction(peak) - sum(map(Fraction, others)))
+    r = draw(
+        st.sampled_from(
+            (0.0, edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf), 0.5 * edge)
+        )
+    )
+    return [peak, *others], draw(st.sampled_from((r, -r)))
+
+
+@given(dominant_rows())
+@example(([1.0, 1.0], 0.0))
+@example(([2.0, 1.0, 1.0], 0.0))
+@example(([3.0, 1.0, 1.0, 1.0], 0.0))
+@example(([math.nextafter(3.0, 0.0), 1.0, 1.0, 1.0], 0.0))
+@example(([math.nextafter(3.0, 4.0), 1.0, 1.0, 1.0], 0.0))
+@example(([4.0, 1.0, 1.0, 1.0], 1.0))
+@example(([4.0, 1.0, 1.0, 1.0], math.nextafter(1.0, 2.0)))
+@example(([10.0] + [1.0] * 10, 0.0))
+@example(([math.nextafter(10.0, 11.0)] + [1.0] * 10, 0.0))
+@settings(deadline=None, max_examples=150)
+def test_dominant_weight_densities_are_correctly_rounded(case):
+    # where the peak covers |r| and the others, the density is the plateau
+    # 1 / (2 peak), and elsewhere the corner sum.  Up to 8 weights every row
+    # rounds it correctly; above 8, a row within 2^-45 of the plateau's edge
+    # may go the float corner sum's way, which the rule cannot rule out
+    w, r = case
+    peak, covered = Fraction(w[0]), sum(map(Fraction, w[1:])) + abs(Fraction(r))
+    if len(w) <= EXACT_CORNER_WEIGHTS or covered * (1 + Fraction(1, 2**45)) <= peak:
+        want = 1 / (2 * peak) if covered <= peak else corner_sum(w, r, len(w) - 1)
+        assert density_at(w, r) == float(want)
+
+
+@pytest.mark.parametrize("w", [[1.0] + [1e-3] * 9, [1.0] + [1e-6] * 11], ids=["9-small", "11-small"])
+def test_dominant_weight_above_eight_weights(w):
+    # the float corner sums cancelled to 120,705.93 and -1.65e42; the weights
+    # lie on the big weight's plateau, where the exact density is 1/2
+    assert density_at(w, 0.0) == float(corner_sum(w, 0.0, len(w) - 1)) == 0.5
+
+
+@st.composite
 def exact_corner_cases(draw):
     """A ``(B, m)`` batch of positive weights and a point, for the exact corner sums.
 
@@ -346,6 +407,12 @@ def test_box_boundary_conventions():
 def test_density_beyond_the_float_range_is_infinite():
     # the exact density at 0 is 1 / (4e-309), above the largest float
     assert density_at([2e-309, 2e-309], 0.0) == math.inf
+    # on the plateau of a subnormal peak, 0.5 / 5e-324 overflows quietly, and
+    # a weight sum past the float range takes no row to the plateau, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert density_at([5e-324, 5e-324], 0.0) == math.inf
+        assert density_at([1e308] * 3, 0.0) == float(corner_sum([1e308] * 3, 0.0, 2))
     assert density_at([-2e-309, 2e-309], 1e-309) == math.inf
     assert cdf_at([2e-309, 2e-309], 0.0) == 0.5
     # above 8 weights too: 0.2 / 1e-310 is past the largest float

@@ -251,6 +251,8 @@ def _public_central(row):
 @example(np.array([[0.715, -0.933, 0.459], [0.189, -0.324, -0.217]]))
 # weights below the relative floor, which the exact kernel must not see
 @example(np.array([[0.5, 0.5, 2**-53, 2**-53]]))
+# a lone live weight is on its own plateau, a box of volume 2^(n-1) = 4
+@example(np.array([[1.0, 1e-15, 0.0], [0.0, -3.0, 2e-17]]))
 @settings(deadline=None)
 def test_central_volumes_is_the_public_composition_bitwise(rows):
     # more than EXACT_CORNER_WEIGHTS live weights takes the float sum
@@ -282,6 +284,32 @@ def test_central_volumes_of_a_column_major_batch():
 def test_central_volumes_rejects_invalid_batches(bad):
     with pytest.raises(InvalidInputError):
         central_volumes(bad)
+
+
+def test_central_volumes_near_a_plateau_edge_do_not_depend_on_the_batch():
+    # above 8 live weights the plateau rule and the float corner sum give
+    # different roundings near the edge, so each row must choose alone
+    rng = np.random.default_rng(3)
+    rows = []
+    for m in (9, 12, 16):
+        others = rng.uniform(0.1, 1.0, (20, m - 1))
+        peak = others.sum(axis=1) * (1.0 + np.arange(-10, 10) * 2.0**-52)
+        rows.append(np.column_stack([peak, others, np.zeros((20, 16 - m))]))
+    rows = np.concatenate(rows)
+    assert central_volumes(rows).tolist() == [central_volume(row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "a", [[1.0] + [1e-3] * 9, [1.0] + [1e-6] * 11], ids=["9-small", "11-small"]
+)
+def test_dominant_weight_volumes_above_eight_weights(a):
+    # the float corner sums gave a volume of 3,059,614.7 for the first and
+    # a normalized section of -9.6e42 for the second; on the big weight's
+    # plateau the volume is 2^(n-1) |a| / max |a|, here max |a| = 1
+    exact = 2.0 ** (len(a) - 1) * math.sqrt(math.fsum(x * x for x in a))
+    assert section_report(a).volume == pytest.approx(exact, rel=1e-15)
+    assert central_volume(a) == section_report(a).volume
+    assert normalized_section(a) == pytest.approx(math.pi * exact / 2.0 ** (len(a) - 1), rel=1e-15)
 
 
 def test_central_volume_keeps_the_weight_count_check():
