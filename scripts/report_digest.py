@@ -16,10 +16,13 @@ support for m = 2..8 weights, the breakpoints and coefficients of
 coordinates.  An ``oracles`` line digests the independent checks:
 ``sinc_product_quadrature`` of fixed unit directions at shifts 0, 0.3 and
 1.5, and the mean, standard error and slab half-width of
-``monte_carlo_section`` at three fixed seeds.  A last line gives the
-SHA-256 of the CSV that
+``monte_carlo_section`` at three fixed seeds.  A ``fig1-grid`` line gives
+the SHA-256 of the CSV that
 ``cli.main(["fig1-grid", "--resolution", "91"])`` prints, the Figure 1 grid
-of 16,471 three-dimensional central volumes.  Run it once per checkout, for
+of 16,471 three-dimensional central volumes.  A last ``api`` line gives
+one SHA-256 of the signatures of the package's public names
+(``cube_sections.__all__``) in sorted order: ``inspect.signature``, a
+class's constructor, and a constant's value.  Run it once per checkout, for
 example
 
     python scripts/report_digest.py --src ../other/src
@@ -39,6 +42,7 @@ which shares no code with the package either.
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import math
 import statistics
@@ -107,6 +111,20 @@ def oracle_values(cube_sections):
         for seed in MONTE_CARLO_SEEDS:
             est = cube_sections.monte_carlo_section(u, r=0.1, samples=200_000, rng_seed=seed)
             yield from (est.mean, est.std_error, est.slab_halfwidth)
+
+
+def api_signatures(cube_sections):
+    """The signature of each public name, in sorted order of the names."""
+    for name in sorted(cube_sections.__all__):
+        obj = getattr(cube_sections, name)
+        if not callable(obj):
+            yield f" = {obj!r}"
+            continue
+        try:
+            yield str(inspect.signature(obj))
+        except ValueError:
+            # an exception class, whose constructor is built in
+            yield "(*args)"
 
 
 def exact_facet(u, k):
@@ -234,6 +252,9 @@ def main():
         f"fig1-grid resolution={GRID_RESOLUTION} rows={len(text.splitlines()) - 1} sha256={digest} seconds={elapsed:.2f}",
         flush=True,
     )
+
+    signatures = hashlib.sha256("\n".join(api_signatures(cube_sections)).encode()).hexdigest()
+    print(f"api signatures_sha256={signatures}", flush=True)
 
 
 if __name__ == "__main__":

@@ -71,9 +71,9 @@ import numpy as np
 from .density import _check_weight_count, _corner_shifts, density_at
 from .sections import _all_facet_terms
 from .weights import (
-    RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
     _binade_scaled,
+    _live,
     as_unit_vector,
     as_weight_vector,
 )
@@ -85,7 +85,6 @@ __all__ = [
     "grad_sinc_product_integral",
     "criticality_residuals",
     "cone_balance",
-    "DEFAULT_CRITICALITY_TOL",
 ]
 
 # exact piecewise-polynomial residuals are either ~1e-15 or >> 1e-6, so the
@@ -232,8 +231,7 @@ def _sinc_rows(arr: np.ndarray, *, hessian: bool = False) -> _SincRows:
     survives, on the diagonal.
     """
     count, n = arr.shape
-    mag = np.abs(arr)
-    live = mag > RELATIVE_WEIGHT_FLOOR * mag.max(axis=1, keepdims=True)
+    mag, live = _live(arr)
     value = np.empty(count)
     reduced = np.zeros_like(mag)
     grad = np.zeros_like(mag)
@@ -329,11 +327,9 @@ def _degenerate_verdict(u: np.ndarray) -> np.ndarray:
 
     One is ``"degenerate-min"``, two within 1e-12 ``"degenerate-max"``, else ``""``.
     """
-    mag = np.abs(u)
-    peak = mag.max(axis=-1, keepdims=True)
-    live = mag > RELATIVE_WEIGHT_FLOOR * peak
+    mag, live = _live(u)
     kept = live.sum(axis=-1)
-    pair = (kept == 2) & (peak[..., 0] - np.where(live, mag, np.inf).min(axis=-1) <= 1e-12)
+    pair = (kept == 2) & (mag.max(axis=-1) - np.where(live, mag, np.inf).min(axis=-1) <= 1e-12)
     return np.select([kept == 1, pair], ["degenerate-min", "degenerate-max"], "")
 
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .weights import InvalidInputError, _offset, as_weight_vector, nonzero_weights
+from .weights import InvalidInputError, _nonzero_weights, _scaled_at, as_weight_vector
 
 __all__ = [
     "MonteCarloEstimate",
@@ -39,16 +39,14 @@ _TAIL_BOUND_TARGET = 1e-10
 _CHUNK_NODES = 1 << 17
 
 
-def _truncation(w: np.ndarray, truncation: float | None) -> float:
-    """``truncation``, or where the envelope bound certifies the tail.
+def _truncation(w: np.ndarray) -> float:
+    """Where the envelope bound certifies the tail.
 
     The bound ``prod |sinc(w_i t)| <= 1 / (t^m prod w_i)`` puts the tail
     beyond ``T`` below ``_TAIL_BOUND_TARGET``; ``T`` is clamped to
     [20, 4000], which is harmless because the tail beyond the truncation
     is then added analytically.
     """
-    if truncation is not None:
-        return float(truncation)
     m = w.size
     prod_w = float(np.prod(w))
     t = ((m - 1) * prod_w * _TAIL_BOUND_TARGET) ** (-1.0 / (m - 1))
@@ -99,7 +97,7 @@ def _tail_trig_integral(m: int, omega: float, is_sine: bool, T: float) -> float:
     return s if is_sine else c
 
 
-def sinc_product_quadrature(a, *, cosine_shift: float = 0.0, truncation: float | None = None) -> float:
+def sinc_product_quadrature(a, *, cosine_shift: float = 0.0) -> float:
     """``int prod_i sin(a_i t)/(a_i t) * cos(cosine_shift * t) dt`` over the line.
 
     Gauss-Legendre panels no longer than half the fastest oscillation
@@ -107,10 +105,12 @@ def sinc_product_quadrature(a, *, cosine_shift: float = 0.0, truncation: float |
     closed form after expanding the sine product into single-frequency
     terms.  With the default shift 0 this is the raw section integral
     ``I(a)``; a nonzero shift yields ``2 pi f_a(shift)`` for Fourier
-    cross-checks.  ``T`` is ``truncation`` if given, and otherwise where
-    the envelope bound puts the tail below 1e-10, clamped to [20, 4000].
-    At or past the end of the support, ``|cosine_shift| >= sum |a_i|``,
-    the density is 0 and so is the result, with no quadrature.
+    cross-checks.  ``T`` is where the envelope bound puts the tail below
+    1e-10, clamped to [20, 4000].  The integral, of degree -1, is taken at
+    ``a`` and the shift over the peak's power of two ``2^e`` and scaled by
+    ``2^-e``, so any scale costs the same and a value past the float range
+    is an infinity.  At or past the end of the support, ``|cosine_shift|
+    >= sum |a_i|``, the density is 0 and so is the result, with no quadrature.
 
     Raises
     ------
@@ -121,16 +121,17 @@ def sinc_product_quadrature(a, *, cosine_shift: float = 0.0, truncation: float |
     if not math.isfinite(cosine_shift):
         # the panel width pi / (sum w + |shift|) would be 0 or NaN
         raise InvalidInputError("cosine shift must be finite")
-    w = nonzero_weights(as_weight_vector(a))
+    w = _nonzero_weights(as_weight_vector(a))
     if w.size < 2:
         raise InvalidInputError(
             "sinc-product quadrature needs at least two nonzero weights"
         )
+    w, cosine_shift, e = _scaled_at(w, cosine_shift)
     total = float(np.sum(w))
     if abs(cosine_shift) >= total:
         return 0.0
     m = w.size
-    T = _truncation(w, truncation)
+    T = _truncation(w)
 
     panel = math.pi / (total + abs(cosine_shift))
     count = max(1, int(math.ceil(T / panel)))
@@ -158,7 +159,8 @@ def sinc_product_quadrature(a, *, cosine_shift: float = 0.0, truncation: float |
         coef * _tail_trig_integral(m, om, is_sine, T)
         for coef, om, is_sine in _trig_product_terms(w, cosine_shift)
     ) / prod_w
-    return 2.0 * (main + tail)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(2.0 * (main + tail), -e))
 
 
 @dataclass(frozen=True)
@@ -188,20 +190,18 @@ def monte_carlo_section(
     The estimator is ``2^n |a| P_hat / (2 eps)`` with
     ``P_hat = fraction of |<x, a> - r| <= eps`` and the half-width
     ``eps = 0.01 sum |a_i|``; the symmetric slab makes the leading bias
-    ``O(eps^2)`` at ``r = 0``.  Batches draw from streams
+    ``O(eps^2)`` at ``r = 0``.  The estimate is scale-free, so ``a`` and
+    ``r`` are divided by the peak's power of two first, and only ``eps``
+    is scaled back: any scale gives the same mean.  Batches draw from streams
     spawned off one seed sequence, and aggregation uses exact integer
     counts, so the result is reproducible for a fixed ``rng_seed``.
     """
-    arr = as_weight_vector(a)
-    r = _offset(r)
+    arr, r, e = _scaled_at(as_weight_vector(a), r)
     if samples < 1:
         raise InvalidInputError("need at least one sample")
     if rng_seed < 0:
         raise InvalidInputError("rng seed must be nonnegative")
     eps = 0.01 * float(np.sum(np.abs(arr)))
-    if not eps > 0.0:
-        # the weights are so small that the half-width underflows
-        raise InvalidInputError("slab halfwidth must be positive")
 
     sizes = [_BATCH] * (samples // _BATCH)
     if samples % _BATCH:
@@ -222,7 +222,7 @@ def monte_carlo_section(
         mean=factor * p_hat,
         std_error=factor * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples),
         samples=samples,
-        slab_halfwidth=eps,
+        slab_halfwidth=float(np.ldexp(eps, e)),
     )
 
 

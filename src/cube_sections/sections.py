@@ -14,18 +14,19 @@ still a face, not the empty set).
 
 Each public function coerces its input once; the private helpers it calls
 take the validated array (``_section_at`` any nonzero vector, the facet
-helpers the unit vector and an index in range) and check nothing again.
-Central volumes have one row kernel, ``_central_rows``: ``central_volumes``
-hands it a whole batch and ``central_volume`` a batch of one.  It scales
-each row to a unit vector and reads the densities at 0 of each live-weight
-count from one call of ``_truncated_power_sums``, bitwise ``density_at``
-of each row, with no second check of its weights: one division where the
-largest weight covers the others (a lone weight too), and exact up to
-``EXACT_CORNER_WEIGHTS`` weights elsewhere.  Off-centre sections and a report's volume
-come from ``density_at`` on the reduced weights, which keeps its own check.
-Everything per facet, the slice, the cone over it and the slab spread of
-the slab identity, comes from the density and spread of the weights
-without coordinate ``k``.  A report and a cone balance read every facet
+helpers the unit vector and an index in range) and check nothing again;
+``weights._live`` picks the live weights.  Every density, bitwise
+``density_at`` of the live weights, comes from the density kernels, which
+check only the weight count.  Central volumes have one row kernel,
+``_central_rows``, for a batch (``central_volumes``) or a batch of one:
+each row is scaled to a unit vector and each live-weight count takes one
+``_truncated_power_sums`` call, one division where the largest weight
+covers the others (a lone weight too) and exact up to
+``EXACT_CORNER_WEIGHTS`` weights elsewhere.  Off-centre sections and a
+report's volume take one row of the same kernel.  Everything per facet,
+the slice, the cone over it and the slab spread of the slab identity,
+comes from the density and spread of the weights without coordinate
+``k``.  A report and a cone balance read every facet
 off one ``_facet_marginals`` table of the direction where the rest has
 more than ``EXACT_CORNER_WEIGHTS`` weights; a single facet, and any facet
 the table leaves out, takes one ``_density_and_spread`` call.
@@ -43,14 +44,12 @@ from .density import (
     _density_and_spread,
     _facet_marginals,
     _truncated_power_sums,
-    density_at,
 )
 from .weights import (
-    RELATIVE_WEIGHT_FLOOR,
     InvalidInputError,
-    _binade_scaled,
+    _live,
     _nonzero_weights,
-    _offset,
+    _scaled_at,
     _unit_vector,
     as_unit_vector,
     as_weight_vector,
@@ -90,11 +89,8 @@ def parallel_section(a, r: float, *, with_flag: bool = False):
     float, or (float, bool) when ``with_flag`` is set.
     """
     # {<x, a> = r} is {<x, a / 2^e> = r / 2^e}: with the peak of a in
-    # [1/2, 1) neither the norm nor the density over- or underflows, and an
-    # offset scaled past the float range lies past the support
-    arr, e = _binade_scaled(as_weight_vector(a))
-    with np.errstate(over="ignore"):
-        r = float(np.ldexp(_offset(r), -e))
+    # [1/2, 1) neither the norm nor the density over- or underflows
+    arr, r, _ = _scaled_at(as_weight_vector(a), r)
     value, flag = _section_at(arr, r)
     return (value, flag) if with_flag else value
 
@@ -111,7 +107,8 @@ def _section_at(arr: np.ndarray, r: float) -> tuple[float, bool]:
             return 2.0 ** (n - 1), True
         return 0.0, False
     # the norm as np.linalg.norm computes it, one dot
-    return 2.0**n * math.sqrt(arr.dot(arr)) * density_at(w, r), False
+    density = _truncated_power_sums(w[None], r, w.size - 1)[0]
+    return 2.0**n * math.sqrt(arr.dot(arr)) * density, False
 
 
 def central_volume(a) -> float:
@@ -155,8 +152,7 @@ def _central_rows(rows: np.ndarray) -> list[float]:
     """
     units = _unit_vector(rows)
     norms = np.sqrt(np.vecdot(units, units))
-    size = np.abs(units)
-    live = size > RELATIVE_WEIGHT_FLOOR * size.max(axis=1, keepdims=True)
+    size, live = _live(units)
     counts = np.count_nonzero(live, axis=1)
     n = rows.shape[1]
     volumes = np.empty(len(rows))
@@ -227,8 +223,8 @@ def _all_facet_terms(u: np.ndarray) -> list[tuple[float, float, float]]:
     rest can keep more, those under the floor of ``u`` but not of the rest.
     The other facets, and all of them at fewer weights, take their own call.
     """
-    size = np.abs(u)
-    live = np.flatnonzero(size > RELATIVE_WEIGHT_FLOOR * float(size.max()))
+    size, mask = _live(u)
+    live = np.flatnonzero(mask)
     shared = {}
     if live.size - 1 > EXACT_CORNER_WEIGHTS:
         for k, marginal in zip(live.tolist(), _facet_marginals(size[live])):

@@ -12,7 +12,7 @@ through ``as_weight_vector``, ``as_unit_vector`` or ``nonzero_weights``
 an offset ``r`` through ``_offset``.
 Past that boundary only validated float arrays travel, and the private
 forms ``_unit_vector`` and ``_nonzero_weights`` do the same arithmetic on
-them without checking again.
+them without checking again; ``_live`` alone decides which weights are live.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "InvalidInputError",
-    "RELATIVE_WEIGHT_FLOOR",
     "as_weight_vector",
     "as_unit_vector",
     "nonzero_weights",
@@ -87,6 +86,16 @@ def _binade_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(arr, -e), e
 
 
+def _scaled_at(arr: np.ndarray, r) -> tuple[np.ndarray, float, int]:
+    """``arr`` and the offset ``r`` over ``2^e`` of :func:`_binade_scaled`, and ``e``.
+
+    An offset scaled past the float range lies past the support.
+    """
+    arr, e = _binade_scaled(arr)
+    with np.errstate(over="ignore"):
+        return arr, float(np.ldexp(_offset(r), -e)), e
+
+
 def _offset(r) -> float:
     """``r`` as a float, rejecting NaN; an infinite offset lies past any support."""
     r = float(r)
@@ -108,5 +117,11 @@ def nonzero_weights(a) -> np.ndarray:
 
 def _nonzero_weights(arr: np.ndarray) -> np.ndarray:
     """:func:`nonzero_weights` of a validated nonempty float array."""
-    arr = np.abs(arr)
-    return arr[arr > RELATIVE_WEIGHT_FLOOR * float(arr.max())]
+    size, live = _live(arr)
+    return size[live]
+
+
+def _live(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|arr|`` and its mask of entries above ``RELATIVE_WEIGHT_FLOOR`` times their row's peak."""
+    size = np.abs(arr)
+    return size, size > RELATIVE_WEIGHT_FLOOR * size.max(axis=-1, keepdims=True)

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -354,6 +356,38 @@ def test_usage_errors_exit_2(capsys, argv):
 def test_invalid_numbers_exit_2(capsys, argv):
     assert main(list(argv)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+PUBLIC_NAMES = {
+    "Case", "ConeBalance", "CriticalPoint", "CriticalityReport", "INTERIOR_BOUND_TRIPLE",
+    "InvalidInputError", "MAX_CLOSED_FORM_WEIGHTS", "MonteCarloEstimate", "PiecewisePolynomial",
+    "QuadResidual", "ScanConfig", "SectionReport", "TripleRoot", "as_unit_vector",
+    "as_weight_vector", "canonicalize", "cdf_at", "central_volume", "central_volumes",
+    "classify_critical_point", "clt_diagonal_asymptote", "cone_balance", "cone_volume",
+    "criticality_residuals", "density_at", "density_by_convolution", "density_closed_form",
+    "diagonal_direction", "diagonal_section_volume", "facet_section_volume",
+    "grad_sinc_product_integral", "monte_carlo_section", "n3_cyclic_sum", "n3_identity_check",
+    "n4_case_balance", "n4_case_dispatch", "nonzero_weights", "normalized_section",
+    "pairwise_balance", "parallel_section", "refine_critical", "scan", "section_report",
+    "sinc_product_integral", "sinc_product_quadrature", "slab_identity_check",
+    "solve_n4_system_triple", "solve_n4_system_unequal",
+}
+
+
+def test_package_republishes_each_module_all():
+    # a public name is declared once, in its module's __all__
+    library = sorted({m.name for m in pkgutil.iter_modules(cube_sections.__path__)} - {"cli", "__main__"})
+    assert len(library) == 8
+    modules = [importlib.import_module(f"cube_sections.{name}") for name in library]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names)) == len(cube_sections.__all__) == 48
+    assert set(names) == set(cube_sections.__all__) == PUBLIC_NAMES
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(cube_sections, name) is getattr(module, name)
+    namespace = {}
+    exec("from cube_sections import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
 
 
 def test_import_loads_no_scipy():

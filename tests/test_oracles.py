@@ -1,10 +1,12 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from cube_sections import oracles
 from cube_sections.criticality import sinc_product_integral
 from cube_sections.density import density_at
 from cube_sections.oracles import (
@@ -26,9 +28,8 @@ from cube_sections.weights import InvalidInputError
 
 
 def test_truncation_resolution():
-    assert _truncation(np.ones(3), 123.0) == 123.0
-    assert _truncation(np.ones(2), None) == 4000.0  # slow 1/t^2 tail
-    mid = _truncation(np.ones(6), None)
+    assert _truncation(np.ones(2)) == 4000.0  # slow 1/t^2 tail
+    mid = _truncation(np.ones(6))
     assert 20.0 < mid < 4000.0
 
 
@@ -64,11 +65,12 @@ def test_quadrature_volume_path():
     assert vol == pytest.approx(central_volume(a), abs=1e-8)
 
 
-def test_quadrature_analytic_tail_dominates():
+def test_quadrature_analytic_tail_dominates(monkeypatch):
     # an aggressive truncation forces most of the mass into the closed-form
     # tail, which must not cost accuracy
+    monkeypatch.setattr(oracles, "_truncation", lambda w: 25.0)
     a = (1.0, 1.0, 1.0)
-    assert sinc_product_quadrature(a, truncation=25.0) == pytest.approx(
+    assert sinc_product_quadrature(a) == pytest.approx(
         sinc_product_integral(a), abs=1e-9
     )
 
@@ -108,6 +110,42 @@ def test_quadrature_past_the_support_is_zero():
     assert sinc_product_quadrature((0.6, 0.8), cosine_shift=1000.0) == 0.0
     assert time.perf_counter() - start < 0.1
     assert sinc_product_quadrature((0.6, 0.8), cosine_shift=-1.4) == 0.0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[1e-100] * 2, [1e-150] * 2, [1e-160] * 3, [1e-200] * 2, [1e3] * 2, [1e200] * 2],
+)
+def test_quadrature_away_from_unit_scale(a, monkeypatch):
+    # far from unit scale, taken at the weights over their power of two, each
+    # evaluates as many nodes as the call at their mantissas (2.5M panels at
+    # [1e3] * 2 and 1.3e201 at [1e200] * 2 when taken at their own scale)
+    nodes = []
+    sinc = np.sinc
+    monkeypatch.setattr(np, "sinc", lambda x: nodes.append(x.size) or sinc(x))
+    value = sinc_product_quadrature(a)
+    at_scale = sum(nodes)
+    nodes.clear()
+    sinc_product_quadrature([math.frexp(x)[0] for x in a])
+    assert at_scale == sum(nodes)
+    assert value == pytest.approx(sinc_product_integral(a), rel=1e-14)
+
+
+def test_quadrature_scale_covariance_is_bitwise():
+    a, shift = np.array([0.3, 0.7, 1.1]), 0.4
+    value = sinc_product_quadrature(a, cosine_shift=shift)
+    for k in (-1000, 1000):
+        scaled = sinc_product_quadrature(np.ldexp(a, k), cosine_shift=math.ldexp(shift, k))
+        assert math.ldexp(scaled, k) == value
+
+
+def test_quadrature_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the shift over the weights' scale overflows: far past the support
+        assert sinc_product_quadrature([1e-300] * 2, cosine_shift=1e300) == 0.0
+        # 2 pi 2^1073 is past the float range
+        assert sinc_product_quadrature([5e-324] * 2) == math.inf
 
 
 def test_quadrature_rejects_single_weight():
@@ -151,9 +189,28 @@ def test_monte_carlo_error_scaling():
 def test_monte_carlo_validation():
     with pytest.raises(InvalidInputError):
         monte_carlo_section((1.0, 1.0), samples=0)
-    with pytest.raises(InvalidInputError):
-        # the half-width 0.01 * 5e-324 underflows to 0
-        monte_carlo_section([5e-324], samples=10)
+    # 0.01 * 5e-324 underflows to 0, but the slab is drawn at the weights
+    # over their power of two, where it is the slab of [0.5]
+    tiny, half = monte_carlo_section([5e-324], samples=10), monte_carlo_section([0.5], samples=10)
+    assert (tiny.mean, tiny.std_error) == (half.mean, half.std_error)
+
+
+@pytest.mark.parametrize("a", [[1e-200] * 2, [1e160] * 2])
+def test_monte_carlo_away_from_unit_scale(a):
+    # the norm of these underflows (1e-200) or overflows (1e160) at their own scale
+    est = monte_carlo_section(a, samples=200_000, rng_seed=5)
+    assert est.std_error < 0.1
+    assert abs(est.mean - central_volume(a)) <= 4.0 * est.std_error
+    assert est.slab_halfwidth == pytest.approx(0.01 * sum(a), rel=1e-15)
+
+
+def test_monte_carlo_scale_covariance_is_bitwise():
+    a, r = np.array([0.3, 0.7, 1.1]), 0.2
+    est = monte_carlo_section(a, r, samples=50_000, rng_seed=4)
+    for k in (-1000, 1000):
+        scaled = monte_carlo_section(np.ldexp(a, k), math.ldexp(r, k), samples=50_000, rng_seed=4)
+        assert (scaled.mean, scaled.std_error) == (est.mean, est.std_error)
+        assert scaled.slab_halfwidth == math.ldexp(est.slab_halfwidth, k)
 
 
 def test_monte_carlo_serializes():

@@ -347,7 +347,7 @@ def _report_kernel_calls(monkeypatch, a):
 
         return wrapper
 
-    for name in ("density_at", "_density_and_spread", "_facet_marginals"):
+    for name in ("_truncated_power_sums", "_density_and_spread", "_facet_marginals"):
         monkeypatch.setattr(sections, name, counted(getattr(sections, name)))
     return section_report(a), calls
 
@@ -365,14 +365,13 @@ def test_report_kernel_calls_share_one_table(monkeypatch):
     # above 8 weights in each rest, one table serves every facet
     n = 12
     report, calls = _report_kernel_calls(monkeypatch, np.arange(1.0, n + 1.0))
-    assert sorted(calls) == ["_facet_marginals", "density_at"]
+    assert sorted(calls) == ["_facet_marginals", "_truncated_power_sums"]
     assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
 
 
 def test_inputs_are_coerced_once(monkeypatch):
-    # a public call validates its input once; central volumes, batched or
-    # not, take the batch kernel, which checks nothing again, and only a
-    # report's volume reads density_at, which checks its weights once more
+    # a public call validates its input once; every volume, central or not,
+    # batched or not, takes a density kernel, which checks nothing again
     calls = []
     original = weights.as_weight_vector
 
@@ -393,7 +392,9 @@ def test_inputs_are_coerced_once(monkeypatch):
     n = 6
     assert coercions(central_volume, np.arange(1.0, 4.0)) == 1
     assert coercions(normalized_section, np.arange(1.0, 4.0)) == 1
-    assert coercions(section_report, np.arange(1.0, n + 1.0)) == 2
+    assert coercions(section_report, np.arange(1.0, n + 1.0)) == 1
+    assert coercions(lambda x: parallel_section(x, 0.3), np.arange(1.0, 4.0)) == 1
+    assert coercions(lambda x: slab_identity_check(x, 2), np.arange(1.0, 4.0)) == 1
     # central_volumes checks its batch in one pass of its own
     assert coercions(cli.main, ["fig1-grid", "--resolution", "5"]) == 0
     assert coercions(cone_balance, np.arange(1.0, 5.0)) == 1
