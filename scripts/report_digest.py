@@ -4,16 +4,17 @@ For each set of directions one SHA-256 is printed over the ``tobytes()`` of
 every report's ``volume``, ``facet_section_volumes``, ``cone_volumes`` and
 ``cone_sum``, in direction order.  The sets are the ``report-highdim``
 benchmark directions (coordinate magnitudes in [0.25, 1] with random signs,
-n = 10..18) for rng seeds 1, 7 and 11, and 15 standard-normal directions per
-n = 10..18.  One more line digests, for the first set, ``facet_section_volume``
-and ``slab_identity_check`` at every facet ``k``, each computed alone from
-its own corner table rather than the report's shared one.  Another digests
-the exact views at most 8 live weights take, on a seeded set of weights
-spread over 30 binades: ``density_at`` and ``cdf_at`` at points across the
-support for m = 2..8 weights, the breakpoints and coefficients of
-``density_closed_form``, and ``facet_section_volume`` and
-``slab_identity_check`` at every facet of directions with n = 4..9
-coordinates.  An ``oracles`` line digests the independent checks:
+n = 10..18) for rng seeds 1, 7 and 11, 15 standard-normal directions per
+n = 10..18, and a cancelling set: the seed-1 directions with their last two
+coordinates replaced by 1e-8 and 3e-9, where a float corner sum cancels.
+One more line digests, for the first set, ``facet_section_volume`` and
+``slab_identity_check`` at every facet ``k``, each computed alone rather
+than in the report's one facet pass.  Another digests the exact views of
+few weights on a seeded set of weights spread over 30 binades:
+``density_at`` and ``cdf_at`` at points across the support for m = 2..8
+weights, the breakpoints and coefficients of ``density_closed_form``, and
+``facet_section_volume`` and ``slab_identity_check`` at every facet of
+directions with n = 4..9 coordinates.  An ``oracles`` line digests the independent checks:
 ``sinc_product_quadrature`` of fixed unit directions at shifts 0, 0.3 and
 1.5, and the mean, standard error and slab half-width of
 ``monte_carlo_section`` at three fixed seeds.  A ``fig1-grid`` line gives
@@ -72,6 +73,10 @@ def direction_sets():
     rng = np.random.default_rng(0)
     yield f"normal {NORMAL_PER_DIMENSION}/n seed=0", [
         rng.standard_normal(n) for n in DIMENSIONS for _ in range(NORMAL_PER_DIMENSION)
+    ]
+    rng = np.random.default_rng(UNIFORM_SEEDS[0])
+    yield f"cancelling seed={UNIFORM_SEEDS[0]}", [
+        np.r_[(rng.uniform(0.25, 1.0, n) * rng.choice([-1.0, 1.0], n))[:-2], 1e-8, 3e-9] for n in DIMENSIONS
     ]
 
 
@@ -160,8 +165,11 @@ def exact_facet(u, k):
 
 def report_spreads(sections, u):
     """The slab spread of every facet, as ``section_report`` takes them."""
+    if hasattr(sections, "_report_terms"):
+        return [terms[-1] for terms in sections._report_terms(u)[1]]
     every = getattr(sections, "_all_facet_terms", None)
     if every is not None:
+        # a checkout whose report reads its facets apart from its volume
         return [terms[-1] for terms in every(u)]
     # a checkout without the shared facet table: one kernel call per facet
     return [sections._facet_terms(u, k)[-1] for k in range(u.size)]

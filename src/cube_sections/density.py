@@ -19,38 +19,36 @@ constructions are provided:
 
 The two paths share no code and serve as oracles for each other.
 
-Every exact corner sum comes from one integer engine, ``_exact_tables``:
-it writes a batch of weight rows and the points with ``frexp`` as
-integers over one power of two, and builds half of each row's corner sums,
-the other half being their complements.  The closed form's piece
-coefficients at every size, and up to ``EXACT_CORNER_WEIGHTS`` nonzero
-weights the point evaluators (``density_at``, ``cdf_at``), a lone facet's
-density and slab spread and the densities at 0 of a batch of central
-volumes (``_truncated_power_sums``), are exact rationals from it, each
-rounded once, so no cancellation is left.  Larger tables are summed in
-floating point by an error-free pairwise transformation
-(``_compensated_sum``), whole-array numpy work that agrees with
-``math.fsum`` to an ulp; the float terms themselves still carry rounding
-errors, which cancel when some weights are small against the others.  The
-float corner sums are built by doubling (``_corner_shifts``), one ``2^m``
-array per call and no cached table, and the terms are formed in place in
-it.
+Every corner sum is exact, at every size up to ``MAX_CLOSED_FORM_WEIGHTS``,
+and rounded once.  ``_exact_tables`` writes a batch of weight rows and the
+points with ``frexp`` as integers over one power of two.  On those integers
+``_power_sums`` sums ``P (x - s)_+^p`` over the ``2^m`` corners: a row of
+at most ``_DIRECT_CORNER_WEIGHTS`` weights from a half table, the other
+half being the complements, and a larger one met in the middle (Horowitz &
+Sahni, J. ACM 21(2), 1974): its corners are split into two halves, one
+half's sums are sorted with prefix moments, and each corner of the other
+half takes one bisection and a Horner sum, ``O(p 2^(m/2))`` integer
+operations in place of ``2^m``.  The point evaluators (``density_at``,
+``cdf_at``), a lone facet's density and slab spread
+(``_density_and_spread``) and the densities at 0 of a batch of central
+volumes (``_truncated_power_sums``) read it, and the closed form's piece
+coefficients walk one sorted table with running moments.  The float corner
+sums of ``_corner_shifts`` serve only the closed form's breakpoints and the
+float criticality kernel.
 
-The facet quantities of :mod:`cube_sections.sections` come from one table
-per direction (``_facet_marginals``): for each weight ``w_k``, the density
-at ``x = w_k`` of the sum without it and the slab spread ``F(x) - F(-x)``.
-Facet ``k`` is the half of the table with ``-w_k``; one pairwise fold sums
-every half, and the table is built in blocks, so memory stays flat.  The
-spread is one corner sum of its own, so it does not cancel as the
-difference of two CDFs near 1/2 would.  A single facet
-(``_density_and_spread``) reads the point-density table of its weights,
-``x - s_eps`` as ``density_at`` builds it, for both sums.
+The facet quantities of :mod:`cube_sections.sections` come from one signed
+pass per direction (``_facet_marginals``): the density at 0, and for each
+weight ``w_k`` the density at ``x = w_k`` of the sum without it and the slab
+spread ``F(x) - F(-x)``, which is ``2 w_k f(0)`` exactly.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+import operator
+from bisect import bisect_left
+from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -65,42 +63,21 @@ __all__ = [
     "MAX_CLOSED_FORM_WEIGHTS",
 ]
 
-# catastrophic cancellation in the float corner sums, and the cost of the
-# exact ones, limit the truncated-power expansion to a few dozen weights;
-# every supported computation stays far below this.
+# the exact corner sums of m weights meet in the middle: one half's 2^(m/2)
+# corner sums are held with m + 1 prefix coefficients each, Python ints that
+# grow with m, and the other half's are swept; at m = 20 a density takes
+# about 10 ms and peaks at 2.5 MB, a report twice that time (2-core VM).  The
+# cap bounds that time and memory; every supported computation stays below.
 MAX_CLOSED_FORM_WEIGHTS = 20
 
-# point evaluations and slab spreads with at most this many nonzero weights
-# sum the 2^m corner terms in exact integer arithmetic; at 2^8 terms a
-# density_at call takes 0.07-0.14 ms against 0.06-0.10 ms for the compensated
-# float sum (six directions, best of 7 x 300 calls, 2-core VM), and larger
-# tables keep the latter
-EXACT_CORNER_WEIGHTS = 8
-
-# _compensated_sum halves its array while it has at least this many
-# elements and leaves the rest to math.fsum: fsum alone takes 113 us at 2051
-# standard-normal terms, halving down to 1024 takes 70-84 us, and cut-offs
-# from 512 to 2048 time within 10% of each other at 515 to 131075 terms
-# (timeit, best of 5 x 50 calls, 2-core VM)
-_FSUM_TERMS = 1024
-
-# the facet kernel builds its corner table in blocks of 2^_TABLE_BLOCK_BITS
-# entries: the facets of nine directions at n = 10..18 take 0.046 s with
-# 2^14, 0.048-0.054 s with 2^13, 2^15 or 2^16 and 0.065 s unblocked (median
-# of 12 interleaved rounds), and a process running their reports peaks at
-# 41.9-42.0 MB with 2^13 to 2^15, 44.3 MB with 2^16 and 51.5 MB unblocked
-# (2-core VM)
-_TABLE_BLOCK_BITS = 14
+# rows with at most this many weights sum their corners directly from a half
+# table; larger ones meet in the middle.  One density sum took 3.6 / 18.4 /
+# 35.1 / 73.0 / 134.4 us from the half table at m = 3 / 6 / 7 / 8 / 9 against
+# 13.0 / 30.8 / 49.6 / 62.5 / 99.9 us split (mean of six rows, best of 7 x 300
+# calls, 2-core VM)
+_DIRECT_CORNER_WEIGHTS = 7
 
 _MERGE_REL_TOL = 1e-13
-
-# peak binades e (peak in [2^(e-1), 2^e)) where the float corner sums of
-# 9..20 live weights, each above 1e-14 * 2^(e-1) > 2^(e-48.5), run as given:
-# the 2^m terms, below (40 * 2^e)^m, sum below 2^1024 for e <= 44, and the
-# product, above 2^(20 e - 48.5 * 19 - 1), is a normal float for e >= -5.
-# Outside, a row is divided by 2^e, exactly, and its value scaled back;
-# inside it is not, since np.power is not exactly scale-equivariant
-_FLOAT_BINADES = range(-5, 45)
 
 
 def _corner_shifts(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,11 +149,13 @@ def density_closed_form(a) -> PiecewisePolynomial:
     Zero weights are dropped: they leave the distribution unchanged.  A
     single nonzero weight gives the uniform box of height ``1/(2|a|)``.
 
-    Each of the ~``2^m`` pieces sums up to ``2^m`` corner terms in Python
-    integers, so the cost grows about 4x per weight: one uniform [0.25, 1]
-    direction takes 0.07, 0.24 and 1.04 s at m = 9, 10 and 11 (2-core VM).
-    ``MAX_CLOSED_FORM_WEIGHTS = 20`` bounds the input, not the practical
-    size, which ends near a dozen weights.
+    The ~``2^m`` pieces read their exact sums off one sorted table of the
+    ``2^m`` corner sums, walked once with running moments, and each piece
+    expands its ``m`` sums binomially, so the cost grows about 2x per
+    weight: one uniform [0.25, 1] direction takes 0.010, 0.025, 0.049 and
+    0.83 s at m = 9, 10, 11 and 14 (2-core VM).  ``MAX_CLOSED_FORM_WEIGHTS =
+    20`` bounds the input, not the practical size, which the ``2^m`` pieces
+    and table entries set.
 
     Raises
     ------
@@ -275,24 +254,16 @@ def density_by_convolution(a) -> PiecewisePolynomial:
 
 
 def _exact_tables(w: np.ndarray, points: list[float]):
-    """The ``(B, m)`` batch of live weights ``w`` and the ``points`` as integers, with half tables.
+    """The ``(B, m)`` batch of live weights ``w`` and the ``points`` as integers.
 
     One ``frexp`` split writes every float as ``M 2^(e-53)`` with an
     integer ``M``; shifted to the smallest exponent of the weights and
     nonzero points, capped at 53, all are integers over ``2^bits`` with
-    ``bits >= 0``.  A row's half table holds its corner sums with ``-w_0``,
-    ``s = -w_0 +- w_1 +- ...``, and their parities ``P = (-1)^(#positive)``;
-    the other half are the complements, ``-s`` with parity ``(-1)^m P``.
-    Returns the integer points, ``bits`` and an iterator giving each row's
-    table ``(s, P, (-1)^m)`` and the product of its integer weights, one
-    row at a time: a whole batch of Python ints alive at once, among the
-    caller's own allocations, raised a fig1-grid process's memory by 1 MB.
+    ``bits >= 0``.  Returns the integer points, ``bits`` and an iterator
+    giving each row's integer weights and their product, one row at a time:
+    a whole batch of Python ints alive at once, among the caller's own
+    allocations, raised a fig1-grid process's memory by 1 MB.
     """
-    m = w.shape[1]
-    parity = [1]
-    for _ in range(m - 1):
-        parity += [-q for q in parity]
-    sign = (-1) ** m
     # a zero point has no exponent of its own; it takes the cap
     split = [(int(x * 2.0**53), e if x else 53) for x, e in map(math.frexp, points)]
     mantissas, exponents = np.frexp(w)
@@ -302,25 +273,123 @@ def _exact_tables(w: np.ndarray, points: list[float]):
     def rows():
         for row, shifts in zip(ints, (exponents - low).tolist()):
             v = [x << k for x, k in zip(row, shifts)]
-            corners = [-sum(v)]
-            for x in v[1:]:
-                x += x
-                corners += [s + x for s in corners]
-            yield (corners, parity, sign), math.prod(v)
+            yield v, math.prod(v)
 
     return [x << e - low for x, e in split], 53 - low, rows()
 
 
-def _half_sum(table, r: int, p: int) -> int:
-    """``sum_eps P (r - s_eps)_+^p`` over every corner, from a half table and ``p >= 1``."""
-    corners, parity, sign = table
-    near = far = 0
-    for s, q in zip(corners, parity):
-        if s < r:
-            near += q * (r - s) ** p
-        if -s < r:
-            far += q * (r + s) ** p
-    return near + sign * far
+def _corners(v: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The sums ``sum_i eps_i v_i`` and parities ``(-1)^(#positive)``, ``eps_k = +1`` on index bit ``k``."""
+    sums = [-sum(v)]
+    for x in v:
+        x += x
+        sums += [s + x for s in sums]
+    return sums, _parities(len(v))
+
+
+@cache
+def _parities(k: int) -> tuple[int, ...]:
+    """``(-1)^(#set bits)`` of each ``k``-bit index, built by doubling; one tuple per size ``k <= 20``, kept."""
+    parity = [1]
+    for _ in range(k):
+        parity += [-q for q in parity]
+    return tuple(parity)
+
+
+def _half_sums(v: list[int], p: int, points: list[int]) -> list[int]:
+    """``sum_eps P (r - s_eps)_+^p`` over every corner of ``v`` at each ``r`` of ``points``, from a half table.
+
+    The table holds the corners with ``-v_0``; the other half are their
+    complements, ``-s`` with parity ``(-1)^m P``.
+    """
+    # built here rather than by _corners: one call less per row of a
+    # central batch, where fig1-grid sums 4,573 small rows per round
+    corners, parity = [-sum(v)], _parities(len(v) - 1)
+    for x in v[1:]:
+        x += x
+        corners += [s + x for s in corners]
+    sign = -1 if len(v) % 2 else 1
+    out = []
+    for r in points:
+        near = far = 0
+        for s, q in zip(corners, parity):
+            if s < r:
+                near += q * (r - s) ** p
+            if -s < r:
+                far += q * (r + s) ** p
+        out.append(near + sign * far)
+    return out
+
+
+def _merged_corners(v: list[int]) -> list[tuple[int, int]]:
+    """The distinct corner sums of ``v``, ascending, each with the sum of its parities."""
+    merged = {}
+    for s, q in zip(*_corners(v)):
+        merged[s] = merged.get(s, 0) + q
+    return sorted(merged.items())
+
+
+def _prefix_coefficients(v: list[int], p: int) -> tuple[list[int], list[tuple]]:
+    """The distinct corner sums of ``v``, ascending, and per prefix of them the Horner coefficients of its part of the sum.
+
+    Entry ``i`` holds ``c_k = C(p, k) (-1)^k sum_{j<i} P_j s_j^k`` for
+    ``k = 0..p``, so ``sum_{s_j < t} P_j (t - s_j)^p`` is
+    ``sum_k c_k t^(p-k)`` at the ``i`` of ``bisect_left(sums, t)``.
+    """
+    signed = [(-1) ** k * math.comb(p, k) for k in range(p + 1)]
+    moments = [0] * (p + 1)
+    keys, rows = [], [tuple(moments)]
+    for s, q in _merged_corners(v):
+        for k in range(p + 1):
+            moments[k] += q
+            q *= s
+        keys.append(s)
+        rows.append(tuple(map(operator.mul, signed, moments)))
+    return keys, rows
+
+
+def _split_sums(high: list[int], p: int, points):
+    """``sum_eps P (t - s_eps)_+^p`` over the corners of ``high`` at each ``t`` of ``points``.
+
+    Two halves of a row's corners meet in the middle (Horowitz & Sahni,
+    J. ACM 21(2), 1974): the points are the ``t = x - s`` of the corners
+    ``s`` of the other half, and each takes one bisection of the sorted sums
+    of ``high`` and a Horner sum of ``p + 1`` steps in place of a term per
+    corner.  Yields the points' sums in order.
+    """
+    keys, rows = _prefix_coefficients(high, p)
+    for t in points:
+        acc = 0
+        for c in rows[bisect_left(keys, t)]:
+            acc = acc * t + c
+        yield acc
+
+
+def _power_sums(v: list[int], p: int, points: list[int]) -> list[int]:
+    """``sum_eps P (x - s_eps)_+^p`` over the ``2^m`` corners of the integers ``v``, at each ``x`` of ``points``.
+
+    Up to ``_DIRECT_CORNER_WEIGHTS`` weights it sums a half table
+    (:func:`_half_sums`).  A larger row is split into halves ``A`` and
+    ``B``: a corner is
+    ``s_A + s_B`` with parity ``P_A P_B``, so each of the ``2^|A|`` corners
+    of ``A`` sums over all of ``B`` at ``t = x - s_A`` by :func:`_split_sums`,
+    which sorts ``B`` once for every point.  Both are exact integers.
+    """
+    m = len(v)
+    if m <= _DIRECT_CORNER_WEIGHTS:
+        return _half_sums(v, p, points)
+    a = m // 2
+    sums, parity = zip(*_merged_corners(v[:a]))
+    ts = _split_sums(v[a:], p, [x - s for x in points for s in sums])
+    return [sum(map(operator.mul, parity, islice(ts, len(sums)))) for _ in points]
+
+
+def _ratio(num: int, den: int) -> float:
+    """``num / den`` correctly rounded; a value past the float range is an infinity."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
 def _exact_piece_coefficients(
@@ -329,90 +398,31 @@ def _exact_piece_coefficients(
     """Local coefficients of the closed form's pieces, each correctly rounded.
 
     The piece centred on ``mid`` sums the corners ``s_eps <= limit``:
-    ``c_i = C(m-1, i) sum P (mid - s)^(m-1-i) / (2^m (m-1)! prod w)``,
-    an exact rational, every power of ``mid - s`` a repeated product.
+    ``c_i = C(m-1, i) sum P (mid - s)^(m-1-i) / (2^m (m-1)! prod w)``, an
+    exact rational.  The limits ascend, so one walk up the sorted corner
+    sums keeps the moments ``sum_{s <= limit} P (-s)^j``, ``j < m``, and each
+    piece expands ``(mid - s)^k`` binomially around ``mid``.
     """
     m, count = w.size, mids.size
     points, bits, rows = _exact_tables(w[None], mids.tolist() + limits.tolist())
-    (((half, parity, sign), prod),) = rows
-    corners = [*zip(half, parity), *((-s, sign * q) for s, q in zip(half, parity))]
+    ((v, prod),) = rows
+    corners = _merged_corners(v)
     den = 2**m * prod * math.factorial(m - 1)
     out = np.zeros((count, m))
+    moments, walked = [0] * m, 0
     for j, (mid, limit) in enumerate(zip(points[:count], points[count:])):
-        sums = [0] * m  # sum P (mid - s)^k, carrying 2^(-bits k)
-        for s, q in corners:
-            if s <= limit:
-                d, term = mid - s, q
-                for k in range(m):
-                    sums[k] += term
-                    term *= d
+        while walked < len(corners) and corners[walked][0] <= limit:
+            s, q = corners[walked]
+            for i in range(m):
+                moments[i] += q
+                q *= -s
+            walked += 1
+        powers = [mid**i for i in range(m)]
+        # sum P (mid - s)^k, carrying 2^(-bits k)
+        sums = [sum(math.comb(k, i) * powers[k - i] * moments[i] for i in range(k + 1)) for k in range(m)]
         # the product carries 2^(-bits m)
         out[j] = [(math.comb(m - 1, i) * sums[m - 1 - i] << bits * (i + 1)) / den for i in range(m)]
     return out
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise ``a + b`` and its exact rounding error (Knuth's TwoSum)."""
-    x = a + b
-    bb = x - a
-    e = x - bb
-    # e = (a - (x - bb)) + (b - bb), the exact error of a + b
-    np.subtract(a, e, out=e)
-    np.subtract(b, bb, out=bb)
-    e += bb
-    return x, e
-
-
-def _folded(terms: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The pairwise halving of :func:`_compensated_sum`, without the last sum.
-
-    Returns the floats whose exact sum is that of ``terms`` up to the
-    errors, the float sum of those errors and the sum of their magnitudes.
-    """
-    x, carried, err, mag = terms, [], 0.0, 0.0
-    while x.size >= _FSUM_TERMS:
-        if x.size % 2:
-            carried.append(x[-1])
-            x = x[:-1]
-        h = x.size >> 1
-        x, e = _two_sum(x[:h], x[h:])
-        err += np.sum(e)
-        mag += np.sum(np.abs(e, out=e))
-    return (np.append(x, carried) if carried else x), err, mag
-
-
-def _rounded(pieces: np.ndarray, err: float, mag: float, exact) -> float:
-    """``math.fsum`` of ``pieces`` and ``err``, or of the terms ``exact()``.
-
-    ``err`` approximates the exact sum of errors that ``pieces`` lacks, to
-    less than ``2^-46`` times ``mag``.  Where that could reach a quarter ulp
-    of the result, the terms cancel beyond twice the working precision, and
-    the iterable ``exact()`` is summed by ``math.fsum`` instead.
-    """
-    total = math.fsum([*pieces.tolist(), err])
-    if mag * 2.0**-44 > np.spacing(abs(total)):
-        return math.fsum(exact())
-    return total
-
-
-def _compensated_sum(terms: np.ndarray) -> float:
-    """Sum of a float array within one ulp of ``math.fsum``.
-
-    Ogita, Rump & Oishi, "Accurate sum and dot product" (SIAM J. Sci.
-    Comput. 26(6), 2005): the array is halved pairwise, and Knuth's TwoSum
-    gives each pairwise sum's exact rounding error.  An odd length leaves
-    its last element over, which is carried to the end.  The result is the
-    correctly rounded sum of the top sum, the carried elements (at most one
-    per level) and the float sum of all errors.  No copy of the terms is made.
-
-    Only that float sum of errors is inexact, by less than ``2^-46`` times
-    the sum of their magnitudes (``numpy.sum`` and the sum over levels are
-    at most 47 additions deep), and :func:`_rounded` falls back to
-    ``math.fsum`` of the terms where that could matter.  Halving stops
-    below ``_FSUM_TERMS`` elements, which go into that last ``math.fsum``;
-    a shorter array is summed by it alone.
-    """
-    return _rounded(*_folded(terms), terms.tolist)
 
 
 def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
@@ -421,16 +431,8 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
     ``w`` is a ``(B, m)`` batch of live weights; ``p = 0`` only for a central
     row with one.  A density (``p = m - 1``) whose largest weight covers
     ``|r|`` and all the others is on that weight's plateau: ``0.5 / w_max``,
-    correctly rounded.  Up to ``EXACT_CORNER_WEIGHTS`` weights the other
-    rows' sums are exact and rounded once.
-    Beyond that each row's float terms are summed with
-    :func:`_compensated_sum`, which leaves no summation error to speak of;
-    the terms themselves carry rounding errors of order ``u |term|``, so
-    the result still cancels when some weights are small against the others.
-    A row whose peak lies outside ``_FLOAT_BINADES`` is summed at ``w`` and
-    ``r`` over the peak's power of two ``2^e``, and the sum, homogeneous of
-    degree ``p - m``, is scaled back by ``2^(e (p - m))``: a value past the
-    float range becomes an infinity, as in the exact branch.
+    correctly rounded.  The other rows' sums are exact and rounded once; an
+    infinite ``r`` lies past the support.
     """
     m = w.shape[1]
     _check_weight_count(m)
@@ -444,247 +446,85 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
             rest = ~((w.sum(axis=1) - peak + abs(r)) * (1.0 + m * 2.0**-51) <= peak)
             out = 0.5 / peak
         w = w[rest]
-    sums = []
-    if len(w) and m <= EXACT_CORNER_WEIGHTS and math.isfinite(r):
+    if not math.isfinite(r):
+        # 0, or 1 right of the support for the CDF (p = m)
+        out[rest] = float(p == m and r > 0.0)
+    elif len(w):
         (x,), bits, rows = _exact_tables(w, [r])
         den, shift = 2**m * math.factorial(p), bits * (m - p)
         # the sum carries 2^(-bits p) and the product 2^(-bits m)
-        for table, prod in rows:
+        sums = []
+        for v, prod in rows:
             try:
-                sums.append((_half_sum(table, x, p) << shift) / (den * prod))
+                sums.append((_power_sums(v, p, [x])[0] << shift) / (den * prod))
             except OverflowError:
                 # a density beyond the float range (a CDF is at most 1)
                 sums.append(math.inf)
-    else:
-        with np.errstate(over="ignore"):  # only a rescaled row overflows, to an infinity
-            for row in w:
-                e, x = math.frexp(float(row.max()))[1], r
-                if e in _FLOAT_BINADES:
-                    e = 0
-                else:
-                    row, x = np.ldexp(row, -e), float(np.ldexp(r, -e))
-                total = float(np.sum(row))
-                if not -total < x < total:
-                    # off the support: 0, or 1 right of it for the CDF (p = m)
-                    sums.append(float(p == m and x > 0.0))
-                    continue
-                shifts, parity = _corner_shifts(row)
-                np.subtract(x, shifts, out=shifts)
-                terms = _positive_powers(shifts, parity, p)
-                # free the table before the sum, which would hold it beside the fold's
-                # temporaries: 3.9 MB at 2^18 corners against 5.2 MB
-                del shifts, parity
-                scale = 1.0 / (2.0**m * float(np.prod(row)) * math.factorial(p))
-                value = scale * _compensated_sum(terms)
-                sums.append(float(np.ldexp(value, e * (p - m))) if e else value)
-    out[rest] = sums
+        out[rest] = sums
     return out.tolist()
 
 
-def _positive_powers(d: np.ndarray, parity: np.ndarray, p: int) -> np.ndarray:
-    """The terms ``P d^p`` over the corners with ``d > 0``, in table order."""
-    live = d > 0.0
-    terms = d[live]
-    np.power(terms, p, out=terms)
-    terms *= parity[live]
-    return terms
+def _facet_marginals(w: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
+    """The density at 0 of ``sum w_i X_i``, and :func:`_density_and_spread` of the weights without ``w_k`` at ``w_k``, every ``k``.
 
+    ``w`` holds ``m`` live weights.  With ``s`` the corner sums and ``P``
+    their parities, for each ``k``
 
-def _spread_terms(t: np.ndarray, parity: np.ndarray, p: int) -> np.ndarray:
-    """The terms ``P sgn(t)^(p+1) |t|^p``; an odd ``p`` has no sign to keep and works in ``t``."""
-    spread = np.abs(t, out=t if p % 2 else None)
-    np.power(spread, p, out=spread)
-    if p % 2 == 0:
-        np.copysign(spread, t, out=spread)
-    spread *= parity
-    return spread
+        T_k = sum_eps P (-eps_k) (-s)_+^(m-2) = 2^m (m-2)! prod_{i != k} w_i f_k(w_k),
 
-
-def _term_blocks(w: np.ndarray, c: int):
-    """The facet terms of the corner table of ``w``, one block at a time.
-
-    With ``s`` the corner sums, ``P`` the parities and ``T = -s``, yields
-    for each block ``b``, the ``2^c`` corners whose high bits are ``b``, in
-    table order, the density terms ``P T_+^(m-2)`` and the spread terms
-    ``P sgn(T)^m |T|^(m-1)``.  A block's corner sums are the table of
-    ``w[:c]`` plus the block's signed high weights, added in the doubling
-    order of :func:`_corner_shifts`, so they are bitwise the full table's;
-    ``T`` is built from ``-w``, which rounds symmetrically.  The last block
-    works in the low table itself.
+    for the density ``f_k`` of the sum without ``w_k``, which is even, and
+    ``sum_k w_k T_k = sum_eps P (-s)_+^(m-1)`` is the density at 0 times
+    ``2^m (m-1)! prod w``.  The spread ``F_k(w_k) - F_k(-w_k)`` is
+    ``2 w_k f(0)`` exactly.  So one signed pass per half gives every value:
+    each corner of ``A`` adds its sum over ``B`` (:func:`_split_sums`) into
+    the ``k`` in ``A`` it carries, and the swapped pass gives the ``k`` in
+    ``B``.  Each value is an exact rational rounded once.  A rest of one
+    weight is a box, which the pass would take at its jump; those two
+    facets are computed alone, and an empty rest is the point mass at 0.
     """
     m = w.size
-    low, low_parity = _corner_shifts(-w[:c])
-    last = (1 << (m - c)) - 1
-    for b in range(last + 1):
-        t = low if b == last else low.copy()
-        for k in range(c, m):
-            if b >> (k - c) & 1:
-                t -= w[k]
-            else:
-                t += w[k]
-        parity = -low_parity if bin(b).count("1") % 2 else low_parity
-        density = np.power(t, m - 2, out=np.zeros_like(t), where=t > 0.0)
-        density *= parity
-        yield density, _spread_terms(t, parity, m - 1)
-
-
-def _block_bits(m: int) -> int:
-    """Low index bits per block of the table of ``m`` weights.
-
-    At most ``_TABLE_BLOCK_BITS``, and the top bit is always a high one, so
-    no block is more than half the table.
-    """
-    return min(m - 1, _TABLE_BLOCK_BITS)
-
-
-def _half_terms(w: np.ndarray, kind: int, k: int):
-    """The terms of one kind (0 density, 1 spread) over the corners with bit ``k`` = 0."""
-    c = _block_bits(w.size)
-    for b, terms in enumerate(_term_blocks(w, c)):
-        if k < c:
-            yield from terms[kind].reshape(-1, 2, 1 << k)[:, 0].ravel().tolist()
-        elif not b >> (k - c) & 1:
-            yield from terms[kind].tolist()
-
-
-def _lower_halves(x: np.ndarray, err: np.ndarray, mag: float) -> list[tuple]:
-    """For every bit ``j`` of the index of ``x``, its sum over bit ``j`` = 0.
-
-    ``x`` has ``2^L`` entries and ``err`` the float sums of their errors,
-    whose magnitudes add up to at most ``mag``.  Each level TwoSum-folds
-    the top bit: the lower half is that bit's half, and every lower bit's
-    half keeps its exact sum in the folded entries plus the folded errors.
-    Returns :func:`_rounded`'s first three arguments for bits ``0..L-1``.
-    """
-    parts = []
-    while x.size > 1:
-        h = x.size >> 1
-        pieces, folded_err, folded_mag = _folded(x[:h])
-        parts.append((pieces, folded_err + np.sum(err[:h]), folded_mag + mag))
-        x, e = _two_sum(x[:h], x[h:])
-        err = err[:h] + err[h:]
-        err += e
-        mag += np.sum(np.abs(e, out=e))
-    return parts[::-1]
-
-
-def _joined(folds: list[tuple]) -> tuple:
-    """:func:`_folded` of the floats whose exact sum is that of every fold in ``folds``."""
-    if len(folds) == 1:
-        return folds[0]
-    pieces, err, mag = _folded(np.concatenate([fold[0] for fold in folds]))
-    return pieces, err + sum(fold[1] for fold in folds), mag + sum(fold[2] for fold in folds)
-
-
-def _facet_sums(w: np.ndarray) -> tuple[list[float], list[float]]:
-    """The density and spread terms of :func:`_term_blocks` summed over bit ``k`` = 0.
-
-    One sum of each kind per bit ``k``, each within an ulp of
-    ``math.fsum`` over its half.  The low ``c`` bits come from the blocks
-    added entry by entry with TwoSum, then folded by :func:`_lower_halves`.
-    A high bit's half is a set of whole blocks, each carried exactly as the
-    floats :func:`_folded` leaves, which are folded once more together.
-    Every float sum of errors is at most 125 additions deep for 20 weights,
-    so inexact by less than ``2^-46`` times its magnitude, as
-    :func:`_rounded` needs.
-    """
-    m = w.size
-    c = _block_bits(m)
-    last = (1 << (m - c)) - 1
-    # per kind: the sum over blocks entry by entry, its errors and their
-    # magnitude, and the fold of each block but the last, which is in no
-    # high bit's half
-    rows, errs, mags, folds = [None, None], [None, None], [0.0, 0.0], ([], [])
-    for b, terms in enumerate(_term_blocks(w, c)):
-        for kind, x in enumerate(terms):
-            if b != last:
-                folds[kind].append(_folded(x))
-            if rows[kind] is None:
-                rows[kind], errs[kind] = x, np.zeros_like(x)
-                continue
-            rows[kind], e = _two_sum(rows[kind], x)
-            errs[kind] += e
-            mags[kind] += np.sum(np.abs(e, out=e))
-    sums = ([], [])
-    for kind, half in enumerate(sums):
-        parts = _lower_halves(rows[kind], errs[kind], mags[kind])
-        for j in range(m - c):
-            parts.append(_joined([fold for b, fold in enumerate(folds[kind]) if not b >> j & 1]))
-        for k, part in enumerate(parts):
-            half.append(_rounded(*part, partial(_half_terms, w, kind, k)))
-    return sums
-
-
-def _scaled_facet(rest: np.ndarray, density_sum: float, spread_sum: float) -> tuple[float, float]:
-    """Density and spread of the weights ``rest`` from their corner sums."""
-    m = rest.size
-    prod = float(np.prod(rest))
-    scale = 1.0 / (2.0**m * prod * math.factorial(m - 1))
-    return scale * density_sum, spread_sum / (2.0**m * prod * math.factorial(m))
-
-
-def _facet_marginals(w: np.ndarray) -> list[tuple[float, float]]:
-    """:func:`_density_and_spread` of the weights without ``w_k`` at ``x = w_k``, every ``k``.
-
-    ``w`` holds ``m`` live weights.  One corner table serves every facet:
-    it puts ``-w_k`` on index bit ``k`` = 0, so there ``T = -s`` is the
-    facet's ``x - s'`` over the other weights, with their parity.  Each
-    facet's density and spread are one half-sum of :func:`_facet_sums`,
-    the ``2^m`` terms built once instead of ``m`` tables of ``2^(m-1)``.
-    The table takes the weights largest first: in three samples of 60 to 80
-    random directions at n = 10..16, with uniform or normal coordinates,
-    that put the median relative error of the facet slices against exact
-    sums at 2.9e-14 to 3.8e-14, against 5.0e-14 to 5.4e-14 in the given
-    order, and lowered the 90th percentile and the maximum in each.
-    """
-    _check_weight_count(w.size - 1)
-    order = np.argsort(-w, kind="stable")
-    densities, spreads = _facet_sums(w[order])
-    bit = np.argsort(order)
-    out = []
-    for k in range(w.size):
-        rest = np.delete(w, k)
-        if w[k] >= float(np.sum(rest)):
-            out.append((0.0, 1.0))
-        else:
-            out.append(_scaled_facet(rest, densities[bit[k]], spreads[bit[k]]))
-    return out
+    _check_weight_count(m)
+    if m <= 2:
+        return 0.5 / float(w.max()), [
+            _density_and_spread(np.delete(w, k), w[k]) if m == 2 else (0.0, 1.0) for k in range(m)
+        ]
+    (), bits, rows = _exact_tables(w[None], [])
+    ((v, prod),) = rows
+    a = m // 2
+    facets = []
+    for low, high in ((v[:a], v[a:]), (v[a:], v[:a])):
+        sums, parity = _corners(low)
+        terms = list(map(operator.mul, parity, _split_sums(high, m - 2, [-s for s in sums])))
+        total = sum(terms)
+        facets += [total - 2 * sum(t for i, t in enumerate(terms) if i >> k & 1) for k in range(len(low))]
+    volume = sum(map(operator.mul, v, facets))
+    den = 2**m * prod * math.factorial(m - 1)
+    # T_k carries 2^(-bits (m-2)) and the product without v_k 2^(-bits (m-1))
+    return _ratio(volume << bits, den), [
+        (_ratio(t << bits, 2**m * math.factorial(m - 2) * (prod // x)), _ratio(2 * x * volume, den))
+        for x, t in zip(v, facets)
+    ]
 
 
 def _density_and_spread(w: np.ndarray, x: float) -> tuple[float, float]:
     """Density ``f(x)`` and spread ``F(x) - F(-x)`` of ``sum w_i X_i``, ``x >= 0``.
 
     ``w`` holds live weights, as :func:`~cube_sections.weights.nonzero_weights`
-    returns them, and is only checked for size.  Both numbers come from one
-    table of corner sums: with ``d = x - s_eps`` and ``P = (-1)^{#pos}``,
+    returns them, and is only checked for size.  With ``P = (-1)^{#pos}``,
 
-        f(x) = sum P d_+^(m-1) / (2^m (m-1)! prod w),
-        F(x) - F(-x) = sum P sgn(d)^(m+1) |d|^m / (2^m m! prod w),
+        f(x) = sum P (x - s_eps)_+^(m-1) / (2^m (m-1)! prod w),
+        F(x) - F(-x) = sum P ((x - s_eps)_+^m - (-x - s_eps)_+^m) / (2^m m! prod w),
 
-    where a negative ``d`` stands for the lower term ``-P' (-x - s')_+^m``
-    of the complement pattern, whose corner sum is exactly ``s' = -s_eps``
-    and whose parity is ``P' = (-1)^m P``.  The spread is one sum, so it
-    does not cancel as the difference of two CDFs near 1/2 would.  Up to
-    ``EXACT_CORNER_WEIGHTS`` weights both are exact and rounded once.
-    Beyond that both sum the float terms of one table of ``d`` with
-    :func:`_compensated_sum`, so the density is :func:`density_at`'s.
+    each an exact rational rounded once, so the spread does not cancel as
+    the difference of two rounded CDFs near 1/2 would.
     """
     m = w.size
     _check_weight_count(m)
-    x = float(x)
-    if m <= EXACT_CORNER_WEIGHTS:
-        (hi,), bits, rows = _exact_tables(w[None], [x])
-        ((table, prod),) = rows
-        den = 2**m * prod * math.factorial(m - 1)
-        density = (_half_sum(table, hi, m - 1) << bits) / den
-        spread = _half_sum(table, hi, m) - _half_sum(table, -hi, m)
-        return density, spread / (den * m)
-    if x >= float(np.sum(w)):
-        return 0.0, 1.0
-    d, parity = _corner_shifts(w)
-    np.subtract(x, d, out=d)
-    density = _compensated_sum(_positive_powers(d, parity, m - 1))
-    return _scaled_facet(w, density, _compensated_sum(_spread_terms(d, parity, m)))
+    (hi,), bits, rows = _exact_tables(w[None], [float(x)])
+    ((v, prod),) = rows
+    den = 2**m * prod * math.factorial(m - 1)
+    up, down = _power_sums(v, m, [hi, -hi])
+    return _ratio(_power_sums(v, m - 1, [hi])[0] << bits, den), _ratio(up - down, den * m)
 
 
 def density_at(a, r: float) -> float:

@@ -17,19 +17,16 @@ take the validated array (``_section_at`` any nonzero vector, the facet
 helpers the unit vector and an index in range) and check nothing again;
 ``weights._live`` picks the live weights.  Every density, bitwise
 ``density_at`` of the live weights, comes from the density kernels, which
-check only the weight count.  Central volumes have one row kernel,
-``_central_rows``, for a batch (``central_volumes``) or a batch of one:
-each row is scaled to a unit vector and each live-weight count takes one
-``_truncated_power_sums`` call, one division where the largest weight
-covers the others (a lone weight too) and exact up to
-``EXACT_CORNER_WEIGHTS`` weights elsewhere.  Off-centre sections and a
-report's volume take one row of the same kernel.  Everything per facet,
-the slice, the cone over it and the slab spread of the slab identity,
-comes from the density and spread of the weights without coordinate
-``k``.  A report and a cone balance read every facet
-off one ``_facet_marginals`` table of the direction where the rest has
-more than ``EXACT_CORNER_WEIGHTS`` weights; a single facet, and any facet
-the table leaves out, takes one ``_density_and_spread`` call.
+check only the weight count, and is an exact rational rounded once.
+Central volumes have one row kernel, ``_central_rows``, for a batch
+(``central_volumes``) or a batch of one: each row is scaled to a unit
+vector and each live-weight count takes one ``_truncated_power_sums``
+call.  Off-centre sections take one row of the same kernel.  Everything per
+facet, the slice, the cone over it and the slab spread of the slab
+identity, comes from the density and spread of the weights without
+coordinate ``k``.  A report and a cone balance make one ``_facet_marginals``
+call for the volume and every facet; a single facet, and a coordinate under
+the weight floor but not zero, takes one ``_density_and_spread`` call.
 """
 
 from __future__ import annotations
@@ -39,12 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import (
-    EXACT_CORNER_WEIGHTS,
-    _density_and_spread,
-    _facet_marginals,
-    _truncated_power_sums,
-)
+from .density import _density_and_spread, _facet_marginals, _truncated_power_sums
 from .weights import (
     InvalidInputError,
     _live,
@@ -214,23 +206,25 @@ def _facet_terms(u: np.ndarray, k: int, marginal=None) -> tuple[float, float, fl
     return slice_, slice_ / ((u.size - 1) * norm), spread
 
 
-def _all_facet_terms(u: np.ndarray) -> list[tuple[float, float, float]]:
-    """:func:`_facet_terms` of unit ``u`` for every ``k``.
+def _report_terms(u: np.ndarray) -> tuple[float, list[tuple[float, float, float]]]:
+    """The central volume of unit ``u`` and :func:`_facet_terms` of ``u`` for every ``k``.
 
-    Above ``EXACT_CORNER_WEIGHTS`` weights in the rest, one
-    :func:`~cube_sections.density._facet_marginals` table serves each live
-    ``u_k`` whose rest keeps exactly the other live weights; only the peak's
-    rest can keep more, those under the floor of ``u`` but not of the rest.
-    The other facets, and all of them at fewer weights, take their own call.
+    One :func:`~cube_sections.density._facet_marginals` call on the live
+    weights gives the density at 0 and every live facet; a zero ``u_k``
+    leaves the live weights as its rest, at ``x = 0``.  Only a coordinate
+    under the floor but not zero takes its own call.  The peak's rest is read
+    from the live weights of ``u`` too, without any weight under the floor
+    of ``u`` but not of that rest: away from a kink, leaving out a weight
+    ``e`` moves a density by the order of ``e^2``.
     """
     size, mask = _live(u)
     live = np.flatnonzero(mask)
-    shared = {}
-    if live.size - 1 > EXACT_CORNER_WEIGHTS:
-        for k, marginal in zip(live.tolist(), _facet_marginals(size[live])):
-            if _nonzero_weights(np.delete(u, k)).size == live.size - 1:
-                shared[k] = marginal
-    return [_facet_terms(u, k, shared.get(k)) for k in range(u.size)]
+    density, marginals = _facet_marginals(size[live])
+    shared = dict(zip(live.tolist(), marginals))
+    for k in np.flatnonzero(u == 0.0).tolist():
+        shared[k] = density, 0.0
+    volume = 2.0**u.size * math.sqrt(u.dot(u)) * density
+    return volume, [_facet_terms(u, k, shared.get(k)) for k in range(u.size)]
 
 
 def cone_volume(a, k: int) -> float:
@@ -321,8 +315,7 @@ def section_report(a) -> SectionReport:
     """Compute the central volume and all per-facet cross-checks."""
     u = as_unit_vector(a)
     n = u.size
-    vol = _section_at(u, 0.0)[0]
-    terms = _all_facet_terms(u)
+    vol, terms = _report_terms(u)
     facets = np.array([slice_ for slice_, _, _ in terms])
     cones = np.array([cone for _, cone, _ in terms])
     slab_errors = [

@@ -28,10 +28,11 @@ __all__ = [
     "nonzero_weights",
 ]
 
-# weights this far below the largest one are indistinguishable from zero in
-# the corner-shift arithmetic of the closed-form density (they fall under
-# the ulp of the total weight sum) and only poison it with cancellation;
-# dropping them perturbs the density by the same relative amount
+# weights this far below the largest one fall under the ulp of the total
+# weight sum: the float corner sums of the criticality kernel cancel on
+# them, and the closed form's breakpoints (density._merged_breakpoints) merge
+# them away.  The exact corner sums need no floor; dropping such a weight
+# perturbs a density by less than its relative size
 RELATIVE_WEIGHT_FLOOR = 1e-14
 
 

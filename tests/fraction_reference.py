@@ -1,8 +1,9 @@
 """The exact corner sum in rational arithmetic, a reference for the tests.
 
-It shares no code with :mod:`cube_sections.density`: every weight, point
-and corner sum is a :class:`fractions.Fraction`, and the table covers all
-``2^m`` sign patterns.
+It shares no code with :mod:`cube_sections.density`: every weight and the
+point are :class:`fractions.Fraction` values, written over their least
+common denominator so that the table of all ``2^m`` sign patterns holds
+integers, and the result is one Fraction.
 """
 
 import math
@@ -21,8 +22,12 @@ def corner_sum(w, r, p) -> Fraction:
     """
     w = [abs(Fraction(x)) for x in w]
     r = Fraction(r)
-    corners = [(Fraction(0), 1)]  # (s, (-1)^(#pos))
-    for x in w:
-        corners = [(s - x, q) for s, q in corners] + [(s + x, -q) for s, q in corners]
-    total = sum(q * (r - s) ** p for s, q in corners if s < r)
-    return total / (2 ** len(w) * math.factorial(p) * math.prod(w))
+    q = math.lcm(r.denominator, *(x.denominator for x in w))
+    # the weights and r times q, so the corner sums are integers
+    ints, x = [int(y * q) for y in w], int(r * q)
+    corners = [(0, 1)]  # (s, (-1)^(#pos))
+    for y in ints:
+        corners = [(s - y, c) for s, c in corners] + [(s + y, -c) for s, c in corners]
+    total = sum(c * (x - s) ** p for s, c in corners if s < x)
+    m = len(w)
+    return Fraction(total * q**m, q**p * 2**m * math.factorial(p) * math.prod(ints))

@@ -1,24 +1,19 @@
-import contextlib
 import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from cube_sections import density, sections
+from cube_sections import sections
 from cube_sections.density import (
-    EXACT_CORNER_WEIGHTS,
     MAX_CLOSED_FORM_WEIGHTS,
-    _compensated_sum,
     _corner_shifts,
     _density_and_spread,
     _facet_marginals,
-    _facet_sums,
     _truncated_power_sums,
     cdf_at,
     density_at,
@@ -259,6 +254,10 @@ def dominant_rows(draw):
     return [peak, *others], draw(st.sampled_from((r, -r)))
 
 
+# nineteen distinct weights, and a peak an ulp below their sum
+_OTHERS_19 = np.linspace(0.1, 1.0, 19).tolist()
+
+
 @given(dominant_rows())
 @example(([1.0, 1.0], 0.0))
 @example(([2.0, 1.0, 1.0], 0.0))
@@ -269,17 +268,25 @@ def dominant_rows(draw):
 @example(([4.0, 1.0, 1.0, 1.0], math.nextafter(1.0, 2.0)))
 @example(([10.0] + [1.0] * 10, 0.0))
 @example(([math.nextafter(10.0, 11.0)] + [1.0] * 10, 0.0))
+@example(([math.nextafter(19.0, 0.0)] + [1.0] * 19, 0.0))
+@example(([math.nextafter(math.fsum(_OTHERS_19), 0.0), *_OTHERS_19], 0.0))
 @settings(deadline=None, max_examples=150)
 def test_dominant_weight_densities_are_correctly_rounded(case):
-    # where the peak covers |r| and the others, the density is the plateau
-    # 1 / (2 peak), and elsewhere the corner sum.  Up to 8 weights every row
-    # rounds it correctly; above 8, a row within 2^-45 of the plateau's edge
-    # may go the float corner sum's way, which the rule cannot rule out
+    # the density is 1 / (2 peak) times the chance that the others' sum S
+    # lies within peak of r; past the plateau's edge it misses by the two
+    # corners of the support of S, simplices of mass
+    # d^(m-1) / ((m-1)! 2^(m-1) prod others) while d <= 2 min others.
+    # Every row rounds that exactly, at the edge too, at any size
     w, r = case
-    peak, covered = Fraction(w[0]), sum(map(Fraction, w[1:])) + abs(Fraction(r))
-    if len(w) <= EXACT_CORNER_WEIGHTS or covered * (1 + Fraction(1, 2**45)) <= peak:
-        want = 1 / (2 * peak) if covered <= peak else corner_sum(w, r, len(w) - 1)
-        assert density_at(w, r) == float(want)
+    peak, others, x = Fraction(w[0]), [Fraction(v) for v in w[1:]], abs(Fraction(r))
+    reach, m = sum(others), len(w)
+
+    def tail(d):
+        assert d <= 2 * min(others)
+        return max(d, 0) ** (m - 1) / (math.factorial(m - 1) * 2 ** (m - 1) * math.prod(others))
+
+    want = (1 - tail(reach - x - peak) - tail(reach + x - peak)) / (2 * peak)
+    assert density_at(w, r) == float(want)
 
 
 @pytest.mark.parametrize("w", [[1.0] + [1e-3] * 9, [1.0] + [1e-6] * 11], ids=["9-small", "11-small"])
@@ -291,9 +298,11 @@ def test_dominant_weight_above_eight_weights(w):
 
 @st.composite
 def exact_corner_cases(draw):
-    """A ``(B, m)`` batch of positive weights and a point, for the exact corner sums.
+    """A ``(B, m)`` batch of 2..12 positive weights and a point, for the exact corner sums.
 
-    Rows mix exponents and full mantissas, may hold weights just above
+    Both sides of the split at ``_DIRECT_CORNER_WEIGHTS`` are drawn, with one
+    row above 8 weights, where the reference is slower.  Rows mix exponents
+    and full mantissas, may hold weights just above
     ``RELATIVE_WEIGHT_FLOOR`` times the peak or subnormal ones, and may tie
     corners at an exact zero sum: two equal weights, or
     ``w_0 = w_1 + w_2`` in dyadics.  Each row is scaled by its own power of
@@ -302,14 +311,14 @@ def exact_corner_cases(draw):
     point is 0, or a multiple in ``[-1.1, 1.1]`` of the first row's total
     or of its smallest weight.
     """
-    m = draw(st.integers(2, EXACT_CORNER_WEIGHTS))
+    m = draw(st.integers(2, 12))
     weight = st.one_of(
         st.floats(1e-6, 1.0),
         st.integers(1, 2**53).map(lambda k: k / 2.0**53),
         st.integers(1, 2**10).map(lambda k: k / 2.0**10),
     )
     rows = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4)) if m <= 8 else 1):
         row = draw(st.lists(weight, min_size=m, max_size=m))
         tie = draw(st.sampled_from(("none", "equal", "sum", "floor", "subnormal")))
         if tie == "equal":
@@ -339,12 +348,16 @@ def exact_corner_cases(draw):
 @example((np.array([[1.0, 0.5, 0.5], [0.75, 0.5, 0.25]]), 0.0))
 @example((np.array([[1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.25, 0.25]]), 0.25))
 @example((np.array([[1.0, 2e-14, 0.3], [0.7, 0.70000000000001, 1.5e-14]]), -0.3))
-@example((np.full((1, EXACT_CORNER_WEIGHTS), 0.125), 0.0))
+@example((np.full((1, 8), 0.125), 0.0))
 @example((np.array([[2.0**1000, 3.0 * 2.0**999, 2.0**60], [2.0**-1000, 5e-324, 2.0**-1001]]), 2.0**999))
+# past the largest drawn size, with ties and with distinct weights
+@example((np.array([np.r_[np.full(7, 0.5), np.full(7, 0.25)]]), 0.375))
+@example((np.array([np.arange(1, 17) / 16.0]), 0.375))
 @settings(deadline=None, max_examples=150)
 def test_exact_corner_sums_match_the_fraction_reference_bitwise(case):
     # each density and distribution function value of the batch is the
-    # exact rational rounded once, whatever the binades of its weights
+    # exact rational rounded once, whatever the binades of its weights, on
+    # both sides of the split into halves
     w, r = case
     m = w.shape[1]
     for p in (m - 1, m):
@@ -352,7 +365,7 @@ def test_exact_corner_sums_match_the_fraction_reference_bitwise(case):
 
 
 @given(
-    st.lists(st.floats(0.05, 3.0), min_size=0, max_size=6),
+    st.lists(st.floats(0.05, 3.0), min_size=0, max_size=10),
     st.lists(st.floats(1e-9, 1e-3), min_size=0, max_size=2),
     st.floats(1e-9, 1e-3),
 )
@@ -364,17 +377,6 @@ def test_cdf_spread_exact_for_small_x(big, tiny, x):
     m = w.size
     want = float(corner_sum(w, x, m) - corner_sum(w, -x, m))
     assert _density_and_spread(w, x)[1] == want
-
-
-@pytest.mark.parametrize("m", [9, 10])
-def test_cdf_spread_float_path(m):
-    # above 8 weights the spread is one compensated float sum; against the
-    # exact rational it is limited only by the rounding of its terms
-    rng = np.random.default_rng(m)
-    w = rng.uniform(0.25, 1.0, m)
-    for x in (1e-6, 0.3, 1.0, float(np.sum(w)) + 1.0):
-        want = corner_sum(w, x, m) - corner_sum(w, -x, m)
-        assert _density_and_spread(w, x)[1] == pytest.approx(float(want), rel=1e-12)
 
 
 def test_closed_form_exact_with_small_weights():
@@ -421,9 +423,9 @@ def test_density_beyond_the_float_range_is_infinite():
 
 @pytest.mark.parametrize("m", [9, 12, 16])
 def test_point_evaluators_above_exact_limit_do_not_depend_on_the_scale(m):
-    # sum 2^k w_i X_i has density 2^-k f(r) at 2^k r and the same CDF; the
-    # float corner sums divide a peak outside their safe binades by its
-    # power of two, so both hold bitwise
+    # sum 2^k w_i X_i has density 2^-k f(r) at 2^k r and the same CDF; above
+    # 8 weights too the values are exact rationals rounded once, so both
+    # hold bitwise
     rng = np.random.default_rng(m)
     w = rng.uniform(0.25, 1.0, m)
     w = np.ldexp(w, -math.frexp(w.max())[1])  # peak in [1/2, 1)
@@ -471,73 +473,7 @@ def test_fourier_inversion(w, r):
     assert integral / math.pi == pytest.approx(density_at(w, r), abs=1e-6)
 
 
-# -- compensated corner sums above 8 weights ----------------------------
-
-
-def _kernel_terms(w, r, p):
-    """The float corner terms ``_truncated_power_sums`` sums, built the same way."""
-    shifts, parity = _corner_shifts(np.abs(np.asarray(w, dtype=float)))
-    d = r - shifts
-    live = d > 0.0
-    return parity[live] * d[live] ** p
-
-
-@given(
-    st.integers(9, 16),
-    st.sampled_from(["uniform", "normal"]),
-    st.integers(0, 2**32 - 1),
-    st.floats(-0.99, 0.99),
-    st.booleans(),
-)
-@settings(deadline=None, max_examples=40)
-# far in the tail the terms cancel beyond twice the working precision
-# (Sigma|terms| / |sum| ~ 1e17); without the fsum fallback this was 2 ulps off
-@example(m=15, kind="uniform", seed=2, frac=0.875, cdf=False)
-def test_compensated_sum_matches_fsum(m, kind, seed, frac, cdf):
-    rng = np.random.default_rng(seed)
-    w = rng.uniform(0.25, 1.0, m) if kind == "uniform" else rng.standard_normal(m)
-    terms = _kernel_terms(w, frac * float(np.sum(np.abs(w))), m if cdf else m - 1)
-    want = math.fsum(terms)
-    # short sums go to fsum; the pairwise path is checked down to length 1
-    with mock.patch.object(density, "_FSUM_TERMS", 2):
-        assert abs(_compensated_sum(terms) - want) <= np.spacing(abs(want))
-    assert abs(_compensated_sum(terms) - want) <= np.spacing(abs(want))
-
-
-@pytest.mark.parametrize(
-    "terms",
-    [
-        [0.1],
-        [1e16, 1.0],
-        [1e16, 1.0, -1e16],
-        [0.1, 0.2, 0.3, -0.6, 1e-20],
-        [1.0, 1e100, 1.0, -1e100, 1e-3, 3.0, -2.0],
-        np.random.default_rng(5).standard_normal(1000) * 10.0 ** np.arange(-20, 30, 0.05),
-    ],
-    ids=["one", "two", "three", "five", "seven", "1000"],
-)
-def test_compensated_sum_short_and_uneven_lengths(terms, monkeypatch):
-    # an odd length at any level carries its last element to the end
-    terms = np.asarray(terms, dtype=float)
-    assert _compensated_sum(terms) == math.fsum(terms)
-    monkeypatch.setattr(density, "_FSUM_TERMS", 2)
-    assert _compensated_sum(terms) == math.fsum(terms)
-
-
-@pytest.mark.parametrize("m", range(9, 15))
-def test_point_evaluators_above_exact_limit_equal_fsum(m):
-    # the compensated sum must round the kernel's own terms as fsum does
-    rng = np.random.default_rng(100 + m)
-    w = rng.uniform(0.25, 1.0, m) * rng.choice([-1.0, 1.0], m)
-    absw = np.abs(w)
-    for frac in (-0.7, -0.2, 0.0, 0.35, 0.9):
-        r = frac * float(np.sum(absw))
-        for evaluator, p in ((density_at, m - 1), (cdf_at, m)):
-            scale = 1.0 / (2.0**m * float(np.prod(absw)) * math.factorial(p))
-            assert evaluator(w, r) == scale * math.fsum(_kernel_terms(w, r, p))
-
-
-# -- corner sums by doubling, and the facet kernel ----------------------
+# -- corner sums by doubling, the lone facet and the facet pass ----------
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -564,25 +500,17 @@ def test_corner_shifts_are_sequential_sums(m):
 @pytest.mark.parametrize("m", range(1, 15))
 def test_density_and_spread_match_the_separate_sums(m):
     # the density is density_at's; the spread is the two-sided sum
-    # sum P ((x - s)_+^m - (-x - s)_+^m), exact up to 8 weights and within
-    # an ulp of fsum of its float terms beyond that
+    # sum P ((x - s)_+^m - (-x - s)_+^m), exact at every size (the reference
+    # takes a second per point at 14 weights, so larger rows check two)
     rng = np.random.default_rng(200 + m)
     w = rng.uniform(0.25, 1.0, m)
     w[: m // 4] *= 1e-4
     total = float(np.sum(w))
-    for x in (0.0, 1e-7, 0.3 * total, 0.95 * total):
+    for x in (0.0, 1e-7, 0.3 * total, 0.95 * total)[:: 1 if m <= 12 else 2]:
         density_x, spread = _density_and_spread(w, x)
         if m > 1:
             assert density_x == density_at(w, x)
-        if m <= 8:
-            assert spread == float(corner_sum(w, x, m) - corner_sum(w, -x, m))
-        else:
-            shifts, parity = _corner_shifts(w)
-            hi, lo = x - shifts, -x - shifts
-            up, down = hi > 0.0, lo > 0.0
-            terms = np.concatenate([parity[up] * hi[up] ** m, -parity[down] * lo[down] ** m])
-            want = math.fsum(terms) / (2.0**m * float(np.prod(w)) * math.factorial(m))
-            assert abs(spread - want) <= np.spacing(abs(want))
+        assert spread == float(corner_sum(w, x, m) - corner_sum(w, -x, m))
     assert _density_and_spread(w, total + 1.0) == (0.0, 1.0)
 
 
@@ -601,120 +529,50 @@ def test_large_corner_tables_are_neither_built_nor_cached():
         assert peak < 4 * column
 
 
-# -- one corner table for every facet -------------------------------------
-
-
-def _lower_half(x, k):
-    """The entries of ``x`` whose index has bit ``k`` = 0, in table order."""
-    return x.reshape(-1, 2, 1 << k)[:, 0].ravel()
-
-
-def _blocks_of(tables):
-    """A stand-in for ``density._term_blocks`` that cuts up given tables."""
-
-    def blocks(_w, c):
-        rows = [table.reshape(-1, 1 << c) for table in tables]
-        return zip(rows[0], rows[1])
-
-    return blocks
-
-
-def _table_terms(w):
-    """Density and spread terms of the whole corner table of ``w``, unblocked."""
-    m = w.size
-    shifts, parity = _corner_shifts(w)
-    t = -shifts
-    density = np.where(t > 0.0, parity * np.abs(t) ** (m - 2), 0.0)
-    spread = parity * np.sign(t) ** m * np.abs(t) ** (m - 1)
-    return density, spread
-
-
-@given(
-    st.integers(2, 14),
-    st.integers(0, 6),
-    st.sampled_from(["corners", "cancelling", "same-sign"]),
-    st.integers(0, 2**32 - 1),
-    st.booleans(),
-)
-@settings(deadline=None, max_examples=60)
-@example(m=14, high=3, kind="corners", seed=7, fold=False)
-@example(m=12, high=6, kind="cancelling", seed=1, fold=True)
-def test_facet_half_sums_within_an_ulp_of_fsum(m, high, kind, seed, fold):
-    # every bit's half-sum, through the cross-block combination (blocks of
-    # 2^c, c = min(m - 1, m - high)) and, with a short fsum cut-off, the
-    # halving inside each fold
-    rng = np.random.default_rng(seed)
-    c = max(1, m - high)
-    if kind == "corners":
-        w = rng.uniform(0.25, 1.0, m)
-        w[: m // 4] *= 1e-3
-        tables = _table_terms(w)
-        blocks = None
-    else:
-        w = np.ones(m)
-        size = 10.0 ** rng.uniform(-8.0, 8.0, (2, 1 << m))
-        tables = size * rng.choice([-1.0, 1.0], size.shape) if kind == "cancelling" else size
-        blocks = _blocks_of(tables)
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(density, "_TABLE_BLOCK_BITS", c))
-        if blocks is not None:
-            stack.enter_context(mock.patch.object(density, "_term_blocks", blocks))
-        if fold:
-            stack.enter_context(mock.patch.object(density, "_FSUM_TERMS", 2))
-        sums = _facet_sums(w)
-    for table, got in zip(tables, sums):
-        for k in range(m):
-            want = math.fsum(_lower_half(table, k))
-            assert abs(got[k] - want) <= np.spacing(abs(want))
-
-
-@pytest.mark.parametrize("m", [10, 13])
-def test_term_blocks_are_the_unblocked_table(m):
-    rng = np.random.default_rng(500 + m)
-    w = rng.uniform(0.25, 1.0, m)
-    c = m - 3
-    density_terms, spread_terms = _table_terms(w)
-    full = list(density._term_blocks(w, c))
-    assert len(full) == 8
-    assert np.array_equal(np.concatenate([d for d, _ in full]), density_terms)
-    assert np.array_equal(np.concatenate([s for _, s in full]), spread_terms)
-
-
-def test_facet_half_sums_fall_back_to_fsum():
-    # the top bit's half: v + c pairs with -v - c two levels on, so every
-    # float sum cancels to 0 and only the errors carry the 1e-30; their
-    # magnitude (~1e-5) is far above it, and the half goes to math.fsum
-    rng = np.random.default_rng(3)
-    m = 13
-    v, c = rng.standard_normal(512) * 1e8, rng.standard_normal(512)
-    table = np.zeros(1 << m)
-    table[:1024] = np.concatenate([v, -v])
-    table[2048:3072] = np.concatenate([c, -c])
-    table[1024] = 1e-30
-    spy = mock.Mock(wraps=density._half_terms)
-    with (
-        mock.patch.object(density, "_term_blocks", _blocks_of([table, table])),
-        mock.patch.object(density, "_half_terms", spy),
-    ):
-        sums = _facet_sums(np.ones(m))
-    want = math.fsum(_lower_half(table, m - 1))
-    assert want == 1e-30
-    for got in sums:
-        assert got[m - 1] == want
-        for k in range(m):
-            half = math.fsum(_lower_half(table, k))
-            assert abs(got[k] - half) <= np.spacing(abs(half))
-    for kind in (0, 1):
-        assert mock.call(mock.ANY, kind, m - 1) in spy.call_args_list
-
-
 @pytest.mark.parametrize("m", [10, 13, 16])
 def test_facet_marginals_are_the_facets_of_one_table(m):
-    # each facet reads its half of the one table; the per-facet table of
-    # the rest differs only in the rounding of the corner sums
+    # one signed pass gives the density at 0 and every facet, each bitwise
+    # the lone facet of the rest, whose spread is 2 w_k f(0) exactly
     rng = np.random.default_rng(300 + m)
     w = rng.uniform(0.25, 1.0, m)
-    for k, (density_k, spread_k) in enumerate(_facet_marginals(w)):
-        want_density, want_spread = _density_and_spread(np.delete(w, k), w[k])
-        assert density_k == pytest.approx(want_density, rel=1e-11)
-        assert spread_k == pytest.approx(want_spread, rel=1e-11)
+    w[: m // 4] *= 1e-4
+    density, marginals = _facet_marginals(w)
+    assert density == density_at(w, 0.0)
+    for k, marginal in enumerate(marginals):
+        assert marginal == _density_and_spread(np.delete(w, k), w[k])
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_facet_marginals_of_few_weights(m):
+    # a rest of one weight is a box, taken at its edge as the limit from
+    # inside; ties with w_k are where the pass would split it
+    w = np.r_[0.5, np.full(m - 1, 0.25)]
+    density, marginals = _facet_marginals(w)
+    assert density == float(corner_sum(w, 0.0, m - 1))
+    for k, marginal in enumerate(marginals):
+        rest = np.delete(w, k)
+        if m == 1:
+            # no weight left: the point mass at 0
+            assert marginal == (0.0, 1.0)
+        else:
+            spread = corner_sum(rest, w[k], m - 1) - corner_sum(rest, -w[k], m - 1)
+            assert marginal == (float(corner_sum(rest, w[k], m - 2)), float(spread))
+
+
+@pytest.mark.parametrize("m", range(9, 19))
+def test_diagonal_densities_are_correctly_rounded(m):
+    # the float corner sums read one ulp off at m = 10, 12 and 14..18; the
+    # Irwin-Hall sum is exact
+    terms = [(-1) ** j * math.comb(m, j) * (m - 2 * j) ** (m - 1) for j in range(m + 1) if m > 2 * j]
+    want = Fraction(sum(terms), 2**m * math.factorial(m - 1))
+    assert density_at(np.ones(m), 0.0) == float(want)
+
+
+def test_cancelling_eleven_weights():
+    # two weights near 1e-8 beside nine of order 1: the float corner sums
+    # read 621.74 for the volume, 55% below the exact 1384.14
+    u = [0.6, 0.7, 0.8, 0.9, 0.5, 0.4, 0.3, 0.75, 0.65, 1e-8, 3e-9]
+    want = corner_sum(u, 0.0, 10)
+    assert density_at(u, 0.0) == float(want)
+    exact = 2.0 ** len(u) * math.sqrt(math.fsum(x * x for x in u)) * want
+    assert abs(sections.central_volume(u) - float(exact)) <= 4.5e-16 * float(exact)

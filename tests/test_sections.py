@@ -255,7 +255,7 @@ def _public_central(row):
 @example(np.array([[1.0, 1e-15, 0.0], [0.0, -3.0, 2e-17]]))
 @settings(deadline=None)
 def test_central_volumes_is_the_public_composition_bitwise(rows):
-    # more than EXACT_CORNER_WEIGHTS live weights takes the float sum
+    # every live-weight count, up to 12 here, takes the exact kernel
     assert central_volumes(rows).tolist() == [_public_central(row) for row in rows]
     assert [central_volume(row) for row in rows] == central_volumes(rows).tolist()
 
@@ -287,8 +287,8 @@ def test_central_volumes_rejects_invalid_batches(bad):
 
 
 def test_central_volumes_near_a_plateau_edge_do_not_depend_on_the_batch():
-    # above 8 live weights the plateau rule and the float corner sum give
-    # different roundings near the edge, so each row must choose alone
+    # near the edge each row chooses between the plateau rule and the exact
+    # corner sum alone, and both round the same rational
     rng = np.random.default_rng(3)
     rows = []
     for m in (9, 12, 16):
@@ -353,20 +353,45 @@ def _report_kernel_calls(monkeypatch, a):
 
 
 def test_report_kernel_calls(monkeypatch):
-    # one central volume, and one exact table per facet for its slice and slab
+    # one facet pass gives the volume and every facet's slice and slab
     n = 6
     report, calls = _report_kernel_calls(monkeypatch, np.arange(1.0, n + 1.0))
-    assert len(calls) == n + 1
-    assert calls.count("_density_and_spread") == n
+    assert calls == ["_facet_marginals"]
     assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
 
 
 def test_report_kernel_calls_share_one_table(monkeypatch):
-    # above 8 weights in each rest, one table serves every facet
+    # the same single call at any size; a zero coordinate's rest is the live
+    # weights at x = 0, whose density is the volume's
     n = 12
-    report, calls = _report_kernel_calls(monkeypatch, np.arange(1.0, n + 1.0))
-    assert sorted(calls) == ["_facet_marginals", "_truncated_power_sums"]
+    report, calls = _report_kernel_calls(monkeypatch, np.r_[np.arange(1.0, n + 1.0), 0.0])
+    assert calls == ["_facet_marginals"]
+    assert report.facet_section_volumes[n] == facet_section_volume(report.direction, n)
     assert report.cone_sum == pytest.approx(report.volume / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(9, 19))
+def test_report_is_the_lone_volume_and_facets_bitwise(n):
+    # the report's volume and facets are the exact rationals the lone
+    # functions round, through the same norms
+    rng = np.random.default_rng(900 + n)
+    a = rng.uniform(0.25, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    report = section_report(a)
+    assert report.volume == central_volume(a)
+    assert report.facet_section_volumes.tolist() == [facet_section_volume(a, k) for k in range(n)]
+
+
+def test_lone_facet_of_a_cancelling_direction_is_positive():
+    # the float corner sums gave -2.21e-8 for the slice and -7.0e-9 for the
+    # cone, unflagged; the exact slice is +1.70e-8
+    a = np.r_[9.5, np.ones(10)]
+    u = as_unit_vector(a)
+    rest = u[1:]
+    exact = 2.0**10 * math.sqrt(math.fsum(x * x for x in rest)) * float(corner_sum(rest, u[0], 9))
+    assert exact == pytest.approx(1.70e-8, rel=1e-2)
+    assert facet_section_volume(a, 0) == pytest.approx(exact, rel=1e-15)
+    assert cone_volume(a, 0) > 0.0
+    assert section_report(a).facet_section_volumes[0] == facet_section_volume(a, 0)
 
 
 def test_inputs_are_coerced_once(monkeypatch):
@@ -455,7 +480,7 @@ def test_dominant_weight_facet_is_empty():
     report = section_report(u)
     assert report.facet_section_volumes[0] == 0.0
     assert report.cone_volumes[0] == 0.0
-    assert sections._all_facet_terms(u)[0] == sections._facet_terms(u, 0) == (0.0, 0.0, 1.0)
+    assert sections._report_terms(u)[1][0] == sections._facet_terms(u, 0) == (0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -490,7 +515,7 @@ def test_report_facets_match_the_exact_corner_sums(n):
     rng = np.random.default_rng(n)
     u = as_unit_vector(rng.uniform(0.25, 1.0, n) * rng.choice([-1.0, 1.0], n))
     report = section_report(u)
-    spreads = [spread for _, _, spread in sections._all_facet_terms(u)]
+    spreads = [spread for _, _, spread in sections._report_terms(u)[1]]
     for k in range(n):
         slice_, spread = _exact_facet(u, k)
         assert report.facet_section_volumes[k] == pytest.approx(slice_, rel=1e-12)
@@ -519,10 +544,10 @@ def _replaced(values, *coordinates):
     ids=["zero", "sub-floor", "peak-rest", "n9", "n10"],
 )
 def test_report_facets_match_one_facet_at_a_time(a):
-    # the facets the shared table leaves out take their own kernel call
+    # the facets the facet pass leaves out take their own kernel call
     u = as_unit_vector(a)
     report = section_report(a)
-    shared = sections._all_facet_terms(u)
+    shared = sections._report_terms(u)[1]
     for k in range(u.size):
         slice_, _, spread = sections._facet_terms(u, k)
         assert report.facet_section_volumes[k] == pytest.approx(slice_, rel=1e-12, abs=0.0)
