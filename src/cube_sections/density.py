@@ -279,7 +279,7 @@ def _exact_tables(w: np.ndarray, points: list[float]):
 
 
 def _corners(v: list[int]) -> tuple[list[int], tuple[int, ...]]:
-    """The sums ``sum_i eps_i v_i`` and parities ``(-1)^(#positive)``, ``eps_k = +1`` on index bit ``k``."""
+    """:func:`_corner_shifts` of the integers ``v``: exact sums and parities, in that order."""
     sums = [-sum(v)]
     for x in v:
         x += x
@@ -289,7 +289,7 @@ def _corners(v: list[int]) -> tuple[list[int], tuple[int, ...]]:
 
 @cache
 def _parities(k: int) -> tuple[int, ...]:
-    """``(-1)^(#set bits)`` of each ``k``-bit index, built by doubling; one tuple per size ``k <= 20``, kept."""
+    """``(-1)^(#set bits)`` of each ``k``-bit index, built by doubling and kept per ``k``."""
     parity = [1]
     for _ in range(k):
         parity += [-q for q in parity]
@@ -297,7 +297,7 @@ def _parities(k: int) -> tuple[int, ...]:
 
 
 def _half_sums(v: list[int], p: int, points: list[int]) -> list[int]:
-    """``sum_eps P (r - s_eps)_+^p`` over every corner of ``v`` at each ``r`` of ``points``, from a half table.
+    """:func:`_power_sums` of ``v`` at the ``points``, from a table of half the corners.
 
     The table holds the corners with ``-v_0``; the other half are their
     complements, ``-s`` with parity ``(-1)^m P``.
@@ -330,7 +330,7 @@ def _merged_corners(v: list[int]) -> list[tuple[int, int]]:
 
 
 def _prefix_coefficients(v: list[int], p: int) -> tuple[list[int], list[tuple]]:
-    """The distinct corner sums of ``v``, ascending, and per prefix of them the Horner coefficients of its part of the sum.
+    """The distinct corner sums of ``v``, ascending, and the Horner coefficients of each prefix.
 
     Entry ``i`` holds ``c_k = C(p, k) (-1)^k sum_{j<i} P_j s_j^k`` for
     ``k = 0..p``, so ``sum_{s_j < t} P_j (t - s_j)^p`` is
@@ -366,14 +366,14 @@ def _split_sums(high: list[int], p: int, points):
 
 
 def _power_sums(v: list[int], p: int, points: list[int]) -> list[int]:
-    """``sum_eps P (x - s_eps)_+^p`` over the ``2^m`` corners of the integers ``v``, at each ``x`` of ``points``.
+    """``sum_eps P (x - s_eps)_+^p`` over the corners of the integers ``v``, at each of ``points``.
 
     Up to ``_DIRECT_CORNER_WEIGHTS`` weights it sums a half table
-    (:func:`_half_sums`).  A larger row is split into halves ``A`` and
-    ``B``: a corner is
-    ``s_A + s_B`` with parity ``P_A P_B``, so each of the ``2^|A|`` corners
-    of ``A`` sums over all of ``B`` at ``t = x - s_A`` by :func:`_split_sums`,
-    which sorts ``B`` once for every point.  Both are exact integers.
+    (:func:`_half_sums`).  A larger row is split into halves ``A`` and ``B``:
+    a corner is ``s_A + s_B`` with parity ``P_A P_B``, so each of the
+    ``2^|A|`` corners of ``A`` sums over all of ``B`` at ``t = x - s_A`` by
+    :func:`_split_sums`, which sorts ``B`` once for every point.  Both are
+    exact integers.
     """
     m = len(v)
     if m <= _DIRECT_CORNER_WEIGHTS:
@@ -419,7 +419,10 @@ def _exact_piece_coefficients(
             walked += 1
         powers = [mid**i for i in range(m)]
         # sum P (mid - s)^k, carrying 2^(-bits k)
-        sums = [sum(math.comb(k, i) * powers[k - i] * moments[i] for i in range(k + 1)) for k in range(m)]
+        sums = [
+            sum(math.comb(k, i) * powers[k - i] * moments[i] for i in range(k + 1))
+            for k in range(m)
+        ]
         # the product carries 2^(-bits m)
         out[j] = [(math.comb(m - 1, i) * sums[m - 1 - i] << bits * (i + 1)) / den for i in range(m)]
     return out
@@ -453,22 +456,16 @@ def _truncated_power_sums(w: np.ndarray, r: float, p: int) -> list[float]:
         (x,), bits, rows = _exact_tables(w, [r])
         den, shift = 2**m * math.factorial(p), bits * (m - p)
         # the sum carries 2^(-bits p) and the product 2^(-bits m)
-        sums = []
-        for v, prod in rows:
-            try:
-                sums.append((_power_sums(v, p, [x])[0] << shift) / (den * prod))
-            except OverflowError:
-                # a density beyond the float range (a CDF is at most 1)
-                sums.append(math.inf)
-        out[rest] = sums
+        out[rest] = [_ratio(_power_sums(v, p, [x])[0] << shift, den * prod) for v, prod in rows]
     return out.tolist()
 
 
 def _facet_marginals(w: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
-    """The density at 0 of ``sum w_i X_i``, and :func:`_density_and_spread` of the weights without ``w_k`` at ``w_k``, every ``k``.
+    """The density at 0 of ``sum w_i X_i``, and the density and spread of every facet.
 
-    ``w`` holds ``m`` live weights.  With ``s`` the corner sums and ``P``
-    their parities, for each ``k``
+    ``w`` holds ``m`` live weights; facet ``k`` is :func:`_density_and_spread`
+    of the weights without ``w_k`` at ``w_k``.  With ``s`` the corner sums
+    and ``P`` their parities, for each ``k``
 
         T_k = sum_eps P (-eps_k) (-s)_+^(m-2) = 2^m (m-2)! prod_{i != k} w_i f_k(w_k),
 
@@ -496,7 +493,10 @@ def _facet_marginals(w: np.ndarray) -> tuple[float, list[tuple[float, float]]]:
         sums, parity = _corners(low)
         terms = list(map(operator.mul, parity, _split_sums(high, m - 2, [-s for s in sums])))
         total = sum(terms)
-        facets += [total - 2 * sum(t for i, t in enumerate(terms) if i >> k & 1) for k in range(len(low))]
+        # T_k: the corners with eps_k = -1 less those with +1
+        facets += [
+            total - 2 * sum(t for i, t in enumerate(terms) if i >> k & 1) for k in range(len(low))
+        ]
     volume = sum(map(operator.mul, v, facets))
     den = 2**m * prod * math.factorial(m - 1)
     # T_k carries 2^(-bits (m-2)) and the product without v_k 2^(-bits (m-1))

@@ -353,6 +353,7 @@ def exact_corner_cases(draw):
 # past the largest drawn size, with ties and with distinct weights
 @example((np.array([np.r_[np.full(7, 0.5), np.full(7, 0.25)]]), 0.375))
 @example((np.array([np.arange(1, 17) / 16.0]), 0.375))
+@example((np.array([np.arange(1, 21) / 32.0]), 0.375))
 @settings(deadline=None, max_examples=150)
 def test_exact_corner_sums_match_the_fraction_reference_bitwise(case):
     # each density and distribution function value of the batch is the
